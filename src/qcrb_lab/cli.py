@@ -10,9 +10,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -72,21 +70,6 @@ def write_records(records, columns, out, fmt):
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _worker_count():
-    try:
-        return max(1, int(os.environ.get("QCRB_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    workers = _worker_count()
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def parse_grid(text):
@@ -179,11 +162,11 @@ def _lambda_row(curve_id, state_name, spec, channel):
 
 def sweep_rows(cfg, grid):
     spec = build_spec(cfg)
-
-    def row(T):
-        return _lambda_row(f"{spec.kind.value}_s{spec.squeeze.s:g}", spec.kind.value, spec, build_channel(cfg, T=T))
-
-    rows = _map(row, grid)
+    curve_id = f"{spec.kind.value}_s{spec.squeeze.s:g}"
+    rows = [
+        _lambda_row(curve_id, spec.kind.value, spec, build_channel(cfg, T=T))
+        for T in grid
+    ]
     rows.sort(key=lambda r: (r["curve_id"], r["T"]))
     return rows
 
@@ -208,13 +191,11 @@ def figure2_rows(grid):
     for kind in (StateKind.COHERENT, StateKind.BTMSS, StateKind.BSMSS, StateKind.FOCK):
         curves.append((f"cmp_{kind.value}", kind, 2.0))
 
-    def rows_for(curve):
-        curve_id, kind, s = curve
+    rows = []
+    for curve_id, kind, s in curves:
         spec = _fig_spec(kind, s)
-        out = []
         for T in grid:
-            ch = ChannelConfig(T=T)
-            out.append(
+            rows.append(
                 {
                     "curve_id": curve_id,
                     "state": kind.value,
@@ -226,9 +207,6 @@ def figure2_rows(grid):
                     "lambda": lambda_pure(spec, float(T)),
                 }
             )
-        return out
-
-    rows = [r for chunk in _map(rows_for, curves) for r in chunk]
     rows.sort(key=lambda r: (r["curve_id"], r["T"]))
     return rows
 
@@ -244,16 +222,12 @@ def figure3_rows(grid):
         for T_p in FIG3_TP_VALUES:
             curves.append((f"{kind.value}_Tp{T_p:g}", kind, T_p))
 
-    def rows_for(curve):
-        curve_id, kind, T_p = curve
+    rows = []
+    for curve_id, kind, T_p in curves:
         spec = _fig_spec(kind, FIG3_S)
-        out = []
         for T in grid:
             ch = ChannelConfig(T=float(T), T_p=T_p, eta_p=0.98, eta_a=0.98)
-            out.append(_lambda_row(curve_id, kind.value, spec, ch))
-        return out
-
-    rows = [r for chunk in _map(rows_for, curves) for r in chunk]
+            rows.append(_lambda_row(curve_id, kind.value, spec, ch))
     rows.sort(key=lambda r: (r["curve_id"], r["T"]))
     return rows
 

@@ -138,36 +138,21 @@ def _kraus_weights(n_max, k, t):
     return np.sqrt(stats.binom.pmf(n - k, n, t))
 
 
-def lossy_density(state, mode, t):
-    """Exact beamsplitter-with-vacuum channel applied to a pure state."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("transmission outside [0, 1]")
-    dim = state.n_max + 1
-    if state.modes == 1:
-        rho = np.zeros((dim, dim), dtype=complex)
-        for k in range(dim):
-            w = _kraus_weights(state.n_max, k, t)
-            phi = np.zeros(dim, dtype=complex)
-            phi[: dim - k] = w * state.coeffs[k:]
-            rho += np.outer(phi, phi.conj())
-        return FockDensity(matrix=rho, n_max=state.n_max, modes=1)
-    if mode not in (0, 1):
-        raise ValueError("mode index must be 0 or 1")
-    psi = state.coeffs if mode == 0 else state.coeffs.T
-    rho = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for k in range(dim):
-        w = _kraus_weights(state.n_max, k, t)
-        phi = np.zeros((dim, dim), dtype=complex)
-        phi[: dim - k, :] = w[:, None] * psi[k:, :]
-        if mode == 1:
-            phi = phi.T
-        v = phi.reshape(-1)
-        rho += np.outer(v, v.conj())
-    return FockDensity(matrix=rho, n_max=state.n_max, modes=2)
+def pure_density(state):
+    """Density matrix |psi><psi| of a pure state."""
+    v = state.coeffs.reshape(-1)
+    return FockDensity(
+        matrix=np.outer(v, v.conj()), n_max=state.n_max, modes=state.modes
+    )
 
 
 def apply_loss_density(rho, mode, t):
-    """Beamsplitter-with-vacuum channel on one mode of a density matrix."""
+    """Beamsplitter-with-vacuum channel on one mode of a density matrix.
+
+    Sums the Kraus terms K_k rho K_k^+ with K_k|n> = w_k(n)|n-k>; one
+    scratch buffer holds each weighted block, so the peak memory is three
+    density matrices (input, output, scratch).
+    """
     if not 0.0 <= t <= 1.0:
         raise ValueError("transmission outside [0, 1]")
     dim = rho.n_max + 1
@@ -175,12 +160,14 @@ def apply_loss_density(rho, mode, t):
     row_ax, col_ax = mode, mode + rho.modes
     work = np.moveaxis(tensor, (row_ax, col_ax), (0, 1))
     out = np.zeros_like(work)
+    scratch = np.empty_like(work)
+    trailing = (1,) * (work.ndim - 2)
     for k in range(dim):
         w = _kraus_weights(rho.n_max, k, t)
-        block = work[k:, k:]
-        out[: dim - k, : dim - k] += (
-            w.reshape((-1,) + (1,) * (work.ndim - 1)) * w.reshape((1, -1) + (1,) * (work.ndim - 2)) * block
-        )
+        m = dim - k
+        buf = scratch[:m, :m]
+        np.multiply(np.outer(w, w).reshape((m, m) + trailing), work[k:, k:], out=buf)
+        out[:m, :m] += buf
     out = np.moveaxis(out, (0, 1), (row_ax, col_ax))
     return FockDensity(
         matrix=out.reshape(rho.matrix.shape), n_max=rho.n_max, modes=rho.modes
@@ -192,7 +179,7 @@ def channel_density(spec, channel, n_max=N_MAX_DEFAULT, T=None):
     T_sys = channel.T if T is None else T
     p = channel.T_p * T_sys * channel.eta_p
     state = build_fock_state(spec, n_max=n_max)
-    rho = lossy_density(state, 0, p)
+    rho = apply_loss_density(pure_density(state), 0, p)
     if state.modes == 2:
         rho = apply_loss_density(rho, 1, channel.eta_a)
     return rho

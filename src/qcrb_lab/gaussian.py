@@ -20,6 +20,8 @@ from scipy import linalg
 
 # Tolerance for symplectic / purity checks on well-conditioned 4x4 matrices.
 SYM_TOL = 1e-9
+# Largest accepted squeezing: cosh(2s) overflows a double just above s = 355.2.
+S_MAX = 355.0
 
 
 class StateKind(Enum):
@@ -45,6 +47,8 @@ class ComplexAmplitude:
     phase: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.magnitude) and math.isfinite(self.phase)):
+            raise ValueError("amplitude magnitude and phase must be finite")
         if self.magnitude < 0:
             raise ValueError("amplitude magnitude must be >= 0")
         object.__setattr__(self, "phase", _reduce_phase(self.phase))
@@ -67,8 +71,10 @@ class SqueezeSpec:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.s < 0:
-            raise ValueError("squeezing parameter s must be >= 0")
+        if not (math.isfinite(self.s) and math.isfinite(self.theta)):
+            raise ValueError("squeezing parameter s and phase theta must be finite")
+        if not 0 <= self.s <= S_MAX:
+            raise ValueError(f"squeezing parameter s must lie in [0, {S_MAX:g}]")
 
 
 @dataclass(frozen=True)
@@ -135,10 +141,6 @@ class GaussianState:
     @property
     def modes(self):
         return len(self.d) // 2
-
-    def k_matrix(self):
-        m = self.modes
-        return np.diag([1.0] * m + [-1.0] * m)
 
 
 def k_matrix(modes):
@@ -210,10 +212,11 @@ def make_source(spec):
     raise ValueError(f"{spec.kind} is not a Gaussian state")
 
 
-def _loss_scaling(modes, mode, t):
-    scale = np.ones(2 * modes)
-    scale[mode] = scale[mode + modes] = math.sqrt(t)
-    return scale
+def _attenuate(state, scale):
+    """Beamsplitter-with-vacuum loss with amplitude factor sqrt(t) per index."""
+    D = np.diag(scale)
+    sigma = D @ state.sigma @ D + np.eye(len(scale)) - D @ D
+    return GaussianState(d=scale * state.d, sigma=sigma)
 
 
 def apply_loss(state, mode, t):
@@ -223,20 +226,24 @@ def apply_loss(state, mode, t):
     m = state.modes
     if not 0 <= mode < m:
         raise ValueError(f"mode index {mode} invalid for {m}-mode state")
-    scale = _loss_scaling(m, mode, t)
-    D = np.diag(scale)
-    sigma = D @ state.sigma @ D + np.eye(2 * m) - D @ D
-    return GaussianState(d=scale * state.d, sigma=sigma)
+    scale = np.ones(2 * m)
+    scale[mode] = scale[mode + m] = math.sqrt(t)
+    return _attenuate(state, scale)
+
+
+def channel_scaling(ch, modes):
+    """Amplitude factors of the loss chain over the 2*modes complex-form indices.
+
+    Losses in series compose by multiplying transmissions, so the probe
+    sees T_p * T * eta_p in one step; the auxiliary mode sees eta_a.
+    """
+    amps = [math.sqrt(ch.probe_transmission), math.sqrt(ch.eta_a)][:modes]
+    return np.array(amps * 2)
 
 
 def apply_channel(state, ch):
     """Probe through T_p, T, eta_p; auxiliary (if present) through eta_a."""
-    out = apply_loss(state, 0, ch.T_p)
-    out = apply_loss(out, 0, ch.T)
-    out = apply_loss(out, 0, ch.eta_p)
-    if state.modes == 2:
-        out = apply_loss(out, 1, ch.eta_a)
-    return out
+    return _attenuate(state, channel_scaling(ch, state.modes))
 
 
 def symplectic_eigenvalues(state):
@@ -260,13 +267,12 @@ def check_state(state, tol=SYM_TOL):
     """Raise if sigma violates Hermiticity, block symmetry or uncertainty."""
     m = state.modes
     sigma = state.sigma
-    if not np.allclose(sigma, sigma.conj().T, atol=1e-10):
-        raise ValueError("sigma is not Hermitian")
     # lower-left block must be the elementwise conjugate of the upper-right
     if not np.allclose(sigma[m:, :m], np.conj(sigma[:m, m:]), atol=1e-10):
         raise ValueError("sigma lacks the complex-form block symmetry")
     if not np.allclose(state.d[m:], np.conj(state.d[:m]), atol=1e-10):
         raise ValueError("d lacks the complex-form conjugate symmetry")
+    # symplectic_eigenvalues rejects a non-Hermitian sigma
     if np.min(symplectic_eigenvalues(state)) < 1.0 - tol:
         raise ValueError("uncertainty relation violated")
 

@@ -14,8 +14,8 @@ from enum import Enum
 import numpy as np
 
 from . import fock
-from .gaussian import Moments, StateKind, make_source, photon_moments
-from .qfi import big_theta
+from .gaussian import StateKind
+from .qfi import big_theta, h_factor, resource_photons, source_moments
 
 # Gaussian-approximation sampling is only trusted at bright photon scales.
 BRIGHT_MEAN_MIN = 1e3
@@ -62,13 +62,6 @@ class MCResult:
     seed: int
 
 
-def source_moments(spec):
-    """Photon moments of the generated state (exact for every kind)."""
-    if spec.kind is StateKind.FOCK:
-        return Moments(mean_p=float(spec.fock_n), var_p=0.0)
-    return photon_moments(make_source(spec))
-
-
 def thinned_stats(mean0, var0, t):
     """Mean and variance of a photon count after transmission t."""
     return t * mean0, t * t * var0 + t * (1.0 - t) * mean0
@@ -98,13 +91,7 @@ def transmission_var_intensity(spec, channel):
         raise ValueError("intensity measurement handles single-mode probes only")
     fano = _FANO[spec.kind](spec)
     T, T_p = channel.T, channel.T_p
-    if spec.kind is StateKind.FOCK:
-        n_r = T_p * spec.fock_n
-    elif spec.kind is StateKind.COHERENT:
-        n_r = T_p * spec.alpha.magnitude**2
-    else:
-        source = make_source(spec)
-        n_r = T_p * abs(source.d[0]) ** 2
+    n_r = resource_photons(spec, channel)
     return T / (channel.eta_p * n_r) - (T * T * T_p / n_r) * (1.0 - fano)
 
 
@@ -144,10 +131,7 @@ def transmission_var_diff(spec, channel):
             )
     s = spec.squeeze.s
     T, T_p = channel.T, channel.T_p
-    source = make_source(spec)
-    n_r = T_p * abs(source.d[0]) ** 2
-    from .qfi import h_factor
-
+    n_r = resource_photons(spec, channel)
     return T / (channel.eta_p * n_r) - (T * T * T_p / n_r) * h_factor(
         s, channel.eta_a
     ) * (1.0 - 1.0 / math.cosh(2.0 * s))
@@ -161,7 +145,7 @@ def _block_rngs(seed, trials):
         yield np.random.Generator(np.random.Philox(sq)), size
 
 
-def _exact_joint_probs(spec, channel, n_max=45):
+def _exact_joint_probs(spec, channel, n_max):
     rho = fock.channel_density(spec, channel, n_max=n_max)
     probs = np.clip(np.real(np.diag(rho.matrix)), 0.0, None)
     return probs / probs.sum(), rho.n_max + 1

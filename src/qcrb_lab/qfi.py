@@ -9,7 +9,7 @@ matrix, and the maximum Fisher bound.
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -18,8 +18,11 @@ from scipy import linalg, stats
 from .gaussian import (
     ChannelConfig,
     GaussianState,
+    Moments,
     StateKind,
     StateSpec,
+    apply_channel,
+    channel_scaling,
     k_matrix,
     make_source,
     photon_moments,
@@ -76,15 +79,41 @@ def big_theta(spec):
 
 def stimulated_photons(spec):
     """Mean photon number of the bright (displacement) part of the probe."""
-    source = make_source(spec)
-    return float(abs(source.d[0]) ** 2)
+    amp = float(abs(make_source(spec).d[0]))
+    return amp * amp  # a float product overflows to inf without a warning
 
 
-def source_photons(spec):
-    """Mean probe photons generated by the source, spontaneous included."""
+def source_moments(spec):
+    """Photon moments of the generated state (exact for every kind)."""
     if spec.kind is StateKind.FOCK:
-        return float(spec.fock_n)
-    return float(photon_moments(make_source(spec)).mean_p)
+        return Moments(mean_p=float(spec.fock_n), var_p=0.0)
+    return photon_moments(make_source(spec))
+
+
+def resource_photons(spec, channel, bright=True):
+    """Probe photons at the system input, n_r = T_p * (photons generated).
+
+    A Fock probe counts its fock_n photons; the other kinds count the
+    stimulated photons, or with bright=False the full source mean with
+    the spontaneous photons included.  Raises ValueError when no probe
+    photons reach the system or the detector, where every Lambda and
+    measured variance built on n_r would divide by zero, and when the
+    count overflows a double.
+    """
+    if spec.kind is StateKind.FOCK:
+        n = spec.fock_n
+    elif bright:
+        n = stimulated_photons(spec)
+    else:
+        n = float(source_moments(spec).mean_p)
+    n_r = channel.T_p * n
+    if not n_r > 0:
+        raise ValueError("probe carries no photons at the system input")
+    if not math.isfinite(n_r):
+        raise ValueError("probe photon number overflows a double")
+    if channel.eta_p == 0:
+        raise ValueError("eta_p = 0: no probe photons reach the detector")
+    return n_r
 
 
 @dataclass(frozen=True)
@@ -105,25 +134,19 @@ class ParamFamily:
         sigma[np.ix_([0, 2], [0, 2])] = state.sigma
         return GaussianState(d=d, sigma=sigma)
 
-    def _scalings(self, T):
-        ch = self.channel
-        p = ch.T_p * T * ch.eta_p
-        D = np.diag([math.sqrt(p), math.sqrt(ch.eta_a)] * 2)
-        dD = np.diag([math.sqrt(ch.T_p * ch.eta_p) / (2.0 * math.sqrt(T)), 0.0] * 2)
-        return D, dD
-
     def state_at(self, T):
-        src = self._source()
-        D, _ = self._scalings(T)
-        sigma = D @ src.sigma @ D + np.eye(4) - D @ D
-        return GaussianState(d=np.diag(D) * src.d, sigma=sigma)
+        return apply_channel(self._source(), replace(self.channel, T=T))
 
     def derivatives_at(self, T):
         """Analytic d(sigma)/dT and d(d)/dT of the lossy state."""
         src = self._source()
-        D, dD = self._scalings(T)
+        ch = replace(self.channel, T=T)
+        scale = channel_scaling(ch, 2)
+        # only the probe factor sqrt(T_p T eta_p) depends on T
+        dscale = np.array([math.sqrt(ch.T_p * ch.eta_p) / (2.0 * math.sqrt(T)), 0.0] * 2)
+        D, dD = np.diag(scale), np.diag(dscale)
         sigma_dot = dD @ src.sigma @ D + D @ src.sigma @ dD - 2.0 * D @ dD
-        return sigma_dot, np.diag(dD) * src.d
+        return sigma_dot, dscale * src.d
 
     def derivatives_fd(self, T, rel_step=1e-6):
         """Richardson-extrapolated central differences; validation fallback."""
@@ -206,10 +229,7 @@ def qfi_gaussian(family, T, bright_limit=False):
         vac = (t1 + t2 + t3) / (2.0 * (det_S - 1.0))
 
     qfi = disp if bright_limit else vac + disp
-    if bright_limit:
-        n_r = family.channel.T_p * stimulated_photons(family.spec)
-    else:
-        n_r = family.channel.T_p * source_photons(family.spec)
+    n_r = resource_photons(family.spec, family.channel, bright=bright_limit)
     return _report(qfi, n_r, QFIMethod.GAUSSIAN_GENERAL)
 
 
@@ -246,27 +266,20 @@ def lambda_lossy(spec, channel):
     T, T_p, eta_p = channel.T, channel.T_p, channel.eta_p
     if not 0.0 < T < 1.0:
         raise ValueError("T must lie in (0, 1)")
+    n_r = resource_photons(spec, channel)
     base = T / eta_p
     if spec.kind is StateKind.COHERENT:
         lam = base
-        n_r = T_p * spec.alpha.magnitude**2
     elif spec.kind is StateKind.BTMSS:
         s = spec.squeeze.s
         lam = base - T * T * T_p * h_factor(s, channel.eta_a) * (
             1.0 - 1.0 / math.cosh(2.0 * s)
         )
-        n_r = T_p * stimulated_photons(spec)
     elif spec.kind is StateKind.BSMSS:
         s = spec.squeeze.s
         lam = base - T * T * T_p * (1.0 - math.exp(-2.0 * s))
-        n_r = T_p * stimulated_photons(spec)
-    elif spec.kind is StateKind.FOCK:
+    else:  # Fock
         lam = base - T * T * T_p
-        n_r = T_p * spec.fock_n
-    else:
-        raise ValueError(f"unsupported state kind {spec.kind}")
-    if n_r <= 0:
-        raise ValueError("probe carries no photons at the system input")
     return EstimationReport(
         lam=lam,
         qfi=n_r / lam,
@@ -328,7 +341,7 @@ def fock_qfi_lossy(n, channel):
     drho = rho * (kk - n * p) / (p * (1.0 - p)) * dp_dT
     mask = rho > 1e-300
     qfi = float(np.sum(drho[mask] ** 2 / rho[mask]))
-    n_r = channel.T_p * n
+    n_r = resource_photons(StateSpec(StateKind.FOCK, fock_n=n), channel)
     return _report(qfi, n_r, QFIMethod.FOCK_SUM)
 
 

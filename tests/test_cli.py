@@ -158,16 +158,53 @@ class TestSweepAndFigures:
                     < by_curve[f"{kind}_Tp0.8"][T]
                 )
 
-    def test_byte_identical_reruns(self, capsys):
-        _, out1, _ = run_cli(capsys, "figure2", "--grid", "T=0.2:0.8:7")
-        _, out2, _ = run_cli(capsys, "figure2", "--grid", "T=0.2:0.8:7")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("figure2",),
+            ("figure3",),
+            ("sweep", "--state", "btmss", "--alpha", "1000", "--s", "1", "--Tp", "0.9"),
+        ],
+        ids=["figure2", "figure3", "sweep"],
+    )
+    def test_byte_identical_reruns(self, capsys, argv):
+        _, out1, _ = run_cli(capsys, *argv, "--grid", "T=0.1:0.9:9")
+        _, out2, _ = run_cli(capsys, *argv, "--grid", "T=0.1:0.9:9")
+        assert out1
         assert out1 == out2
 
-    def test_threaded_output_matches_serial(self, capsys, monkeypatch):
-        _, serial, _ = run_cli(capsys, "figure3", "--grid", "T=0.1:0.9:9")
-        monkeypatch.setenv("QCRB_LAB_THREADS", "4")
-        _, threaded, _ = run_cli(capsys, "figure3", "--grid", "T=0.1:0.9:9")
-        assert serial == threaded
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--state", "coherent", "--alpha", "100", "--eta-p", "0"),
+            ("--state", "bsmss", "--alpha", "1000", "--s", "1", "--eta-p", "0"),
+            ("--state", "fock", "--fock-n", "3", "--eta-p", "0"),
+            ("--state", "btmss", "--alpha", "1000", "--s", "1", "--eta-p", "0"),
+            ("--state", "bsmss", "--alpha", "1000", "--s", "800"),
+            ("--state", "bsmss", "--alpha", "1000", "--s", "nan"),
+            ("--state", "btmss", "--alpha", "10", "--beta", "5", "--s", "1", "--theta", "nan"),
+            ("--state", "coherent", "--alpha", "inf"),
+            ("--state", "coherent", "--alpha", "1e200"),
+        ],
+        ids=[
+            "eta_p0-coherent",
+            "eta_p0-bsmss",
+            "eta_p0-fock",
+            "eta_p0-btmss",
+            "cosh-overflow",
+            "s-nan",
+            "theta-nan",
+            "alpha-inf",
+            "photons-overflow",
+        ],
+    )
+    def test_report_exits_1_with_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "report", *argv, "--T", "0.5")
+        assert code == 1
+        assert out == ""
+        assert any(line.startswith("error: ") for line in err.splitlines())
 
 
 class TestMC:

@@ -5,6 +5,7 @@ import pytest
 
 from qcrb_lab import fock
 from qcrb_lab.gaussian import (
+    S_MAX,
     ChannelConfig,
     ComplexAmplitude,
     SqueezeSpec,
@@ -58,6 +59,26 @@ class TestAmplitudes:
     def test_negative_squeeze_rejected(self):
         with pytest.raises(ValueError):
             SqueezeSpec(s=-0.1)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ComplexAmplitude(np.nan),
+            lambda: ComplexAmplitude(np.inf),
+            lambda: ComplexAmplitude(1.0, np.nan),
+            lambda: SqueezeSpec(s=np.nan),
+            lambda: SqueezeSpec(s=np.inf),
+            lambda: SqueezeSpec(s=1.0, theta=np.nan),
+            lambda: SqueezeSpec(s=S_MAX * (1 + 1e-15)),
+        ],
+    )
+    def test_non_finite_or_overflowing_fields_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_largest_squeeze_keeps_cosh_finite(self):
+        s = SqueezeSpec(s=S_MAX).s
+        assert np.isfinite(np.cosh(2 * s)) and np.isfinite(2 * np.sinh(s) ** 2)
 
 
 class TestConstructors:
@@ -128,7 +149,7 @@ class TestConstructors:
             squeeze=SqueezeSpec(s, th),
         )
         vec = fock.build_fock_state(spec, n_max=35)
-        om = fock.oracle_moments(fock.lossy_density(vec, 0, 1.0))
+        om = fock.oracle_moments(fock.pure_density(vec))
         assert om.mean_p == pytest.approx(expect + np.sinh(s) ** 2, abs=1e-8)
 
 
@@ -164,6 +185,16 @@ class TestLoss:
         ch = ChannelConfig(T=0.6, T_p=0.9, eta_p=0.8)
         st = apply_channel(make_coherent(ComplexAmplitude(2.0)), ch)
         assert photon_moments(st).mean_p == pytest.approx(0.6 * 0.9 * 0.8 * 4.0)
+
+    def test_channel_composes_the_probe_losses(self):
+        ch = ChannelConfig(T=0.6, T_p=0.9, eta_p=0.8, eta_a=0.7)
+        for st in random_states():
+            seq = apply_loss(apply_loss(apply_loss(st, 0, ch.T_p), 0, ch.T), 0, ch.eta_p)
+            if st.modes == 2:
+                seq = apply_loss(seq, 1, ch.eta_a)
+            out = apply_channel(st, ch)
+            assert np.max(np.abs(out.sigma - seq.sigma)) < 1e-14
+            assert np.max(np.abs(out.d - seq.d)) < 1e-14
 
     def test_channel_all_unity_is_identity(self):
         st = random_states()[2]
@@ -234,7 +265,7 @@ class TestMoments:
     def test_agree_with_fock_oracle(self, spec):
         gm = photon_moments(make_source(spec))
         vec = fock.build_fock_state(spec, n_max=40)
-        om = fock.oracle_moments(fock.lossy_density(vec, 0, 1.0))
+        om = fock.oracle_moments(fock.pure_density(vec))
         for field in ("mean_p", "var_p", "mean_a", "var_a", "cov_pa"):
             assert abs(getattr(gm, field) - getattr(om, field)) < 1e-8
 

@@ -71,6 +71,19 @@ class TestClosedForms:
             var = transmission_var_diff(spec, ch)
             assert var * rep.n_resource == pytest.approx(rep.lam, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "measure, spec",
+        [
+            (transmission_var_intensity, StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(10))),
+            (transmission_var_intensity, StateSpec(StateKind.FOCK, fock_n=3)),
+            (transmission_var_diff, btmss()),
+        ],
+        ids=["coherent", "fock", "btmss"],
+    )
+    def test_blind_detector_rejected(self, measure, spec):
+        with pytest.raises(ValueError):
+            measure(spec, ChannelConfig(T=0.5, eta_p=0.0))
+
     def test_btmss_required_for_diff(self):
         with pytest.raises(ValueError):
             transmission_var_diff(

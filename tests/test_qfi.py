@@ -13,6 +13,7 @@ from qcrb_lab.gaussian import (
     StateSpec,
     apply_channel,
     make_btmss,
+    make_source,
     symplectic_eigenvalues,
 )
 from qcrb_lab.qfi import (
@@ -178,6 +179,19 @@ class TestGaussianGeneral:
         rep = qfi_gaussian(ParamFamily(spec, ChannelConfig(T=T)), T)
         total = np.sinh(1.0) ** 2 + stimulated_photons(spec)
         assert rep.qfi < fisher_max(total, T)
+
+    def test_family_uses_the_channel_loss_chain(self):
+        spec = StateSpec(
+            StateKind.BTMSS,
+            alpha=ComplexAmplitude(2.0, 0.3),
+            beta=ComplexAmplitude(0.5),
+            squeeze=SqueezeSpec(s=0.8, theta=1.0),
+        )
+        ch = ChannelConfig(T=0.35, T_p=0.9, eta_p=0.95, eta_a=0.85)
+        got = ParamFamily(spec, ch).state_at(ch.T)
+        want = apply_channel(make_source(spec), ch)
+        assert np.array_equal(got.sigma, want.sigma)
+        assert np.array_equal(got.d, want.d)
 
     def test_analytic_derivatives_match_fd(self):
         fam = ParamFamily(

@@ -1,17 +1,20 @@
 """Truncated Fock-basis oracle for small photon numbers.
 
-Brute-force ground truth used to validate the Gaussian machinery: exact
-state expansions (closed-form recursions, no operator exponentials),
-exact beamsplitter loss channels in the number basis, photon statistics
-by direct summation, and QFI via eigendecomposition of the density
-matrix.  Not a performance path; intended for mean photon numbers of
-order a few.
+Ground truth used to validate the Gaussian machinery: exact state
+expansions (closed-form recursions, no operator exponentials), exact
+beamsplitter loss channels in the number basis, photon statistics by
+direct summation, and QFI via eigendecomposition of the density matrix.
+
+Loss is binomial thinning, so photon-count statistics need only |c|^2
+and one binomial table per loss (thinned_probs); no density matrix is
+formed.  The QFI is one dense eigendecomposition of the whole density
+matrix, the same computation for every probe.  Intended for mean photon
+numbers of order a few.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .gaussian import Moments, StateKind
 
@@ -96,10 +99,11 @@ def _btmss_coeffs(alpha, beta, s, theta, n_max):
     c[0, 0] = 1.0
     for n in range(n_max):
         c[0, n + 1] = beta * c[0, n] / (ch * np.sqrt(n + 1))
+    lower = e * sh * np.sqrt(np.arange(1, dim))
     for m in range(n_max):
-        for n in range(dim):
-            lower = e * sh * np.sqrt(n) * c[m, n - 1] if n > 0 else 0.0
-            c[m + 1, n] = (alpha * c[m, n] - lower) / (ch * np.sqrt(m + 1))
+        row = alpha * c[m]
+        row[1:] -= lower * c[m, :-1]
+        c[m + 1] = row / (ch * np.sqrt(m + 1))
     return c / np.linalg.norm(c)
 
 
@@ -132,10 +136,48 @@ def build_fock_state(spec, n_max=N_MAX_DEFAULT):
     return FockVector(coeffs=c, n_max=n_max)
 
 
-def _kraus_weights(n_max, k, t):
-    """sqrt(C(n,k) t^(n-k) (1-t)^k) for n = k .. n_max."""
-    n = np.arange(k, n_max + 1)
-    return np.sqrt(stats.binom.pmf(n - k, n, t))
+def _pascal_step(row, t):
+    """Binomial row n+1 from row n: each entry is (1-t) row[k] + t row[k-1]."""
+    out = np.empty(len(row) + 1)
+    out[:-1] = (1.0 - t) * row
+    out[-1] = 0.0
+    out[1:] += t * row
+    return out
+
+
+def _check_transmission(t):
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("transmission outside [0, 1]")
+
+
+def binomial_pmf(n, t):
+    """C(n, k) t^k (1-t)^(n-k) for k = 0 .. n.
+
+    Built by Pascal's rule: every step is a convex combination of
+    non-negative numbers, so nothing overflows or cancels.  O(n) memory
+    and O(n^2) time.
+    """
+    _check_transmission(t)
+    row = np.ones(1)
+    for _ in range(n):
+        row = _pascal_step(row, t)
+    return row
+
+
+def binomial_table(n_max, t):
+    """K[n, m] = C(n, m) t^m (1-t)^(n-m): the chance that m of n photons survive."""
+    _check_transmission(t)
+    table = np.zeros((n_max + 1, n_max + 1))
+    table[0, 0] = 1.0
+    for n in range(1, n_max + 1):
+        table[n, : n + 1] = _pascal_step(table[n - 1, :n], t)
+    return table
+
+
+def _losses(channel, T):
+    """Probe and auxiliary transmissions; T replaces the channel's system T."""
+    T_sys = channel.T if T is None else T
+    return channel.T_p * T_sys * channel.eta_p, channel.eta_a
 
 
 def pure_density(state):
@@ -146,28 +188,35 @@ def pure_density(state):
     )
 
 
+def _left_multiply(kernel, block):
+    """kernel @ block over the first axis, for a real kernel and a complex block."""
+    flat = block.reshape(len(block), -1).view(np.float64)
+    return (kernel @ flat).view(complex).reshape(block.shape)
+
+
 def apply_loss_density(rho, mode, t):
     """Beamsplitter-with-vacuum channel on one mode of a density matrix.
 
-    Sums the Kraus terms K_k rho K_k^+ with K_k|n> = w_k(n)|n-k>; one
-    scratch buffer holds each weighted block, so the peak memory is three
-    density matrices (input, output, scratch).
+    The Kraus sum K_k rho K_k^+ (K_k|n> = A[n, n-k]|n-k>, A the square
+    root of the binomial table) keeps the mode's diagonal offset d, and on
+    it is one matrix product: out[i, i+d] = sum_m B_d[i, m] rho[m, m+d]
+    with B_d[i, m] = A[m, i] A[m+d, i+d], and likewise for rho[m+d, m].
+    Peak memory is the input, the output and one pair of diagonals.  At
+    t = 1 the input is returned unchanged.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("transmission outside [0, 1]")
+    if t == 1.0:
+        return rho
+    amp = np.sqrt(binomial_table(rho.n_max, t))
     dim = rho.n_max + 1
-    tensor = rho.tensor()
     row_ax, col_ax = mode, mode + rho.modes
-    work = np.moveaxis(tensor, (row_ax, col_ax), (0, 1))
+    work = np.moveaxis(rho.tensor(), (row_ax, col_ax), (0, 1))
     out = np.zeros_like(work)
-    scratch = np.empty_like(work)
-    trailing = (1,) * (work.ndim - 2)
-    for k in range(dim):
-        w = _kraus_weights(rho.n_max, k, t)
-        m = dim - k
-        buf = scratch[:m, :m]
-        np.multiply(np.outer(w, w).reshape((m, m) + trailing), work[k:, k:], out=buf)
-        out[:m, :m] += buf
+    for d in range(dim):
+        m = np.arange(dim - d)
+        rows = np.stack([m, m + d], axis=1)
+        cols = rows[:, ::-1]
+        kernel = amp[: dim - d, : dim - d].T * amp[d:, d:].T
+        out[rows, cols] = _left_multiply(kernel, work[rows, cols])
     out = np.moveaxis(out, (0, 1), (row_ax, col_ax))
     return FockDensity(
         matrix=out.reshape(rho.matrix.shape), n_max=rho.n_max, modes=rho.modes
@@ -176,30 +225,49 @@ def apply_loss_density(rho, mode, t):
 
 def channel_density(spec, channel, n_max=N_MAX_DEFAULT, T=None):
     """Source state through the full loss chain; probe losses are composed."""
-    T_sys = channel.T if T is None else T
-    p = channel.T_p * T_sys * channel.eta_p
+    t_p, t_a = _losses(channel, T)
     state = build_fock_state(spec, n_max=n_max)
-    rho = apply_loss_density(pure_density(state), 0, p)
+    rho = apply_loss_density(pure_density(state), 0, t_p)
     if state.modes == 2:
-        rho = apply_loss_density(rho, 1, channel.eta_a)
+        rho = apply_loss_density(rho, 1, t_a)
     return rho
 
 
-def oracle_moments(rho):
-    """Photon mean/variance/cross-covariance by direct basis summation."""
-    probs = np.real(np.diag(rho.matrix))
-    dim = rho.n_max + 1
-    n = np.arange(dim)
-    if rho.modes == 1:
+def thinned_probs(state, t_p=1.0, t_a=1.0):
+    """Photon-count distribution of a pure state after loss.
+
+    Each photon survives independently, so P' = K(t_p)^T |c|^2 K(t_a)
+    with K the binomial table; equal to the diagonal of the lossy density
+    matrix without forming it.  1-D for one mode, (probe, auxiliary) for
+    two.
+    """
+    c = state.coeffs
+    probs = (c * c.conj()).real
+    if t_p != 1.0:
+        probs = binomial_table(state.n_max, t_p).T @ probs
+    if state.modes == 2 and t_a != 1.0:
+        probs = probs @ binomial_table(state.n_max, t_a)
+    return probs
+
+
+def channel_probs(spec, channel, n_max=N_MAX_DEFAULT, T=None):
+    """Photon-count distribution after the full loss chain (see thinned_probs)."""
+    t_p, t_a = _losses(channel, T)
+    return thinned_probs(build_fock_state(spec, n_max=n_max), t_p, t_a)
+
+
+def count_moments(probs):
+    """Photon mean/variance/cross-covariance of a count distribution."""
+    n = np.arange(probs.shape[0])
+    if probs.ndim == 1:
         mean = float(probs @ n)
         var = float(probs @ (n * n)) - mean * mean
         return Moments(mean_p=mean, var_p=var)
-    pj = probs.reshape(dim, dim)
-    pp, pa = pj.sum(axis=1), pj.sum(axis=0)
+    pp, pa = probs.sum(axis=1), probs.sum(axis=0)
     mean_p, mean_a = float(pp @ n), float(pa @ n)
     var_p = float(pp @ (n * n)) - mean_p**2
     var_a = float(pa @ (n * n)) - mean_a**2
-    cross = float(n @ pj @ n)
+    cross = float(n @ probs @ n)
     return Moments(
         mean_p=mean_p,
         var_p=var_p,
@@ -207,6 +275,12 @@ def oracle_moments(rho):
         var_a=var_a,
         cov_pa=cross - mean_p * mean_a,
     )
+
+
+def oracle_moments(rho):
+    """Photon moments from the diagonal of a density matrix."""
+    dim = rho.n_max + 1
+    return count_moments(np.real(np.diag(rho.matrix)).reshape((dim,) * rho.modes))
 
 
 def oracle_qfi(rho_of_T, T, dT=1e-4, rtol=1e-5, eps=1e-12):

@@ -166,7 +166,10 @@ def make_bsmss(alpha, squeeze):
         ],
         dtype=complex,
     )
-    dp = a * np.cosh(s) - np.conj(a) * e * np.sinh(s)
+    # a cosh(s) - conj(a) e sinh(s) without the cancellation of its terms:
+    # with u = a e^{-i theta/2} it is a e^{-s} + 2i e^{i theta/2} Im(u) sinh(s)
+    half = np.exp(0.5j * th)
+    dp = a * np.exp(-s) + 2j * half * (a * np.conj(half)).imag * np.sinh(s)
     d = np.array([dp, np.conj(dp)])
     return GaussianState(d=d, sigma=sigma)
 

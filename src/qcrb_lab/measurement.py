@@ -8,7 +8,7 @@ variance.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
@@ -19,6 +19,10 @@ from .qfi import big_theta, h_factor, resource_photons, source_moments
 
 # Gaussian-approximation sampling is only trusted at bright photon scales.
 BRIGHT_MEAN_MIN = 1e3
+# Fock truncations the Exact sampler tries in turn for non-Fock probes.  The
+# first was the fixed truncation before, so seeded results made with it
+# repeat; the last caps the per-mode basis (a two-mode distribution of 8 MB).
+EXACT_N_MAX = (40, 60, 90, 135, 200, 300, 450, 700, 1000)
 _BLOCK = 1 << 14
 
 
@@ -145,10 +149,29 @@ def _block_rngs(seed, trials):
         yield np.random.Generator(np.random.Philox(sq)), size
 
 
-def _exact_joint_probs(spec, channel, n_max):
-    rho = fock.channel_density(spec, channel, n_max=n_max)
-    probs = np.clip(np.real(np.diag(rho.matrix)), 0.0, None)
-    return probs / probs.sum(), rho.n_max + 1
+def _exact_joint_probs(spec, channel):
+    """Photon-count distribution after the channel, flattened, and the basis size.
+
+    A Fock probe needs n_max = fock_n + 2; other probes take the first
+    truncation in EXACT_N_MAX whose tail mass passes fock.TAIL_TOL.
+    """
+    tries = (spec.fock_n + 2,) if spec.kind is StateKind.FOCK else EXACT_N_MAX
+    if tries[0] > EXACT_N_MAX[-1]:
+        raise ValueError(
+            f"Exact sampler holds at most {EXACT_N_MAX[-1] - 2} photons per mode"
+        )
+    for n_max in tries:
+        try:
+            probs = fock.channel_probs(spec, channel, n_max=n_max)
+            break
+        except fock.TruncationError as exc:
+            if n_max == tries[-1]:
+                raise fock.TruncationError(
+                    f"tail mass above {fock.TAIL_TOL:.0e} even at the Exact "
+                    f"sampler's cap n_max={n_max}"
+                ) from exc
+    probs = np.clip(probs.ravel(), 0.0, None)
+    return probs / probs.sum(), n_max + 1
 
 
 def mc_estimate(spec, channel, plan, cfg):
@@ -161,7 +184,10 @@ def mc_estimate(spec, channel, plan, cfg):
     regardless of worker count: trials are partitioned into fixed-size
     counter-based RNG blocks.
     """
-    m0 = source_moments(spec)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        m0 = source_moments(spec)
+    if not all(map(math.isfinite, astuple(m0))):
+        raise ValueError("source photon moments overflow a double")
     t_probe = channel.probe_transmission
     slope = channel.T_p * channel.eta_p * m0.mean_p
     if slope <= 0:
@@ -207,8 +233,7 @@ def mc_estimate(spec, channel, plan, cfg):
                 return rng.poisson(lam, size).astype(float)
 
         else:
-            n_max = spec.fock_n + 2 if spec.kind is StateKind.FOCK else 40
-            probs, dim = _exact_joint_probs(spec, channel, n_max=n_max)
+            probs, dim = _exact_joint_probs(spec, channel)
             if spec.kind is StateKind.BTMSS:
                 idx = np.arange(dim * dim)
                 values = (idx // dim) - g * (idx % dim)

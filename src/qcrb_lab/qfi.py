@@ -13,8 +13,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import linalg
 
+from .fock import binomial_pmf
 from .gaussian import (
     ChannelConfig,
     GaussianState,
@@ -336,7 +337,7 @@ def fock_qfi_lossy(n, channel):
     if not 0.0 < p < 1.0:
         raise ValueError("total probe transmission must lie in (0, 1)")
     kk = np.arange(n + 1)
-    rho = stats.binom.pmf(kk, n, p)
+    rho = binomial_pmf(n, p)
     dp_dT = channel.T_p * channel.eta_p
     drho = rho * (kk - n * p) / (p * (1.0 - p)) * dp_dT
     mask = rho > 1e-300

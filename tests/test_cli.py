@@ -206,6 +206,34 @@ class TestRejectedInputs:
         assert out == ""
         assert any(line.startswith("error: ") for line in err.splitlines())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--state", "bsmss", "--alpha", "1000", "--s", "300"),
+            ("--state", "btmss", "--alpha", "0", "--s", "3", "--sampler", "exact"),
+        ],
+        ids=["moments-overflow", "exact-cap"],
+    )
+    def test_mc_exits_1_with_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "mc", *argv, "--T", "0.5")
+        assert code == 1
+        assert out == ""
+        assert any(line.startswith("error: ") for line in err.splitlines())
+
+
+class TestExtremeInputs:
+    def test_exact_sampler_on_a_wide_twin_beam(self, capsys):
+        argv = ("mc", "--state", "btmss", "--alpha", "0", "--s", "1", "--T", "0.5", "--sampler", "exact")
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        assert math.isfinite(json.loads(out)[0]["z_score"])
+
+    def test_report_on_a_strongly_amplitude_squeezed_probe(self, capsys):
+        argv = ("report", "--state", "bsmss", "--alpha", "1000", "--s", "20", "--T", "0.5")
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)[0]["n_resource"] == pytest.approx(1e6 * math.exp(-40.0), rel=1e-12)
+
 
 class TestMC:
     def test_mc_json_record(self, capsys):

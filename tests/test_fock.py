@@ -1,5 +1,12 @@
 """Tests for the truncated Fock-basis oracle."""
 
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -15,8 +22,20 @@ from qcrb_lab.gaussian import (
 from qcrb_lab.qfi import fisher_max, fock_qfi_lossy, lambda_lossy
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def coherent_spec(alpha):
     return StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(alpha))
+
+
+def seeded_btmss():
+    return StateSpec(
+        StateKind.BTMSS,
+        alpha=ComplexAmplitude(0.8),
+        beta=ComplexAmplitude(0.5, 1.0),
+        squeeze=SqueezeSpec(s=0.4, theta=1.1),
+    )
 
 
 class TestStateBuilders:
@@ -189,6 +208,18 @@ class TestOracleQFI:
         want = qfi_gaussian(ParamFamily(spec, ch), T).qfi
         assert got == pytest.approx(want, rel=1e-5)
 
+    def test_seeded_btmss_matches_gaussian_qfi(self):
+        # no conserved number: the oracle is one dense eigendecomposition
+        from qcrb_lab.qfi import ParamFamily, qfi_gaussian
+
+        T = 0.45
+        ch = ChannelConfig(T=T, T_p=0.9, eta_p=0.95, eta_a=0.9)
+        got = fock.oracle_qfi(
+            lambda t: fock.channel_density(seeded_btmss(), ch, n_max=22, T=t), T
+        )
+        want = qfi_gaussian(ParamFamily(seeded_btmss(), ch), T).qfi
+        assert got == pytest.approx(want, rel=1e-5)
+
     def test_convergence_guard(self):
         # a huge step on a high-order density cannot pass a tight gate
         spec = StateSpec(StateKind.FOCK, fock_n=5)
@@ -201,3 +232,87 @@ class TestOracleQFI:
                 dT=0.3,
                 rtol=1e-12,
             )
+
+
+class TestBinomial:
+    @pytest.mark.parametrize("t", [1e-5, 0.1, 0.37, 0.5, 0.9, 0.999])
+    def test_pmf_matches_exact_rationals(self, t):
+        ft = Fraction(t)
+        for n in (0, 1, 7, 90, 200):
+            got = fock.binomial_pmf(n, t)
+            want = np.array(
+                [float(math.comb(n, k) * ft**k * (1 - ft) ** (n - k)) for k in range(n + 1)]
+            )
+            normal = want > 1e-300
+            assert np.all(np.abs(got[normal] - want[normal]) <= 1e-13 * want[normal])
+
+    @pytest.mark.parametrize("t", [0.01, 0.1, 0.37, 0.5, 0.9, 0.98])
+    def test_table_matches_scipy_binom(self, t):
+        # scipy's own pmf is 7.1e-13 off the exact value at k=0, n=90, t=0.1
+        table = fock.binomial_table(200, t)
+        for n in range(201):
+            want = stats.binom.pmf(np.arange(n + 1), n, t)
+            got = table[n, : n + 1]
+            normal = want > 1e-300
+            assert np.all(np.abs(got[normal] - want[normal]) <= 1e-12 * want[normal])
+            assert not np.any(table[n, n + 1 :])
+
+    def test_table_rows_are_the_pmf(self):
+        table = fock.binomial_table(40, 0.3)
+        for n in (0, 1, 17, 40):
+            assert np.array_equal(table[n, : n + 1], fock.binomial_pmf(n, 0.3))
+
+    @pytest.mark.parametrize("t", [-0.1, 1.2, float("nan")])
+    def test_rejects_transmission_outside_unit_interval(self, t):
+        rho = fock.pure_density(fock.build_fock_state(coherent_spec(0.5), n_max=12))
+        with pytest.raises(ValueError):
+            fock.binomial_table(5, t)
+        with pytest.raises(ValueError):
+            fock.apply_loss_density(rho, 0, t)
+
+    def test_library_import_leaves_out_scipy_stats(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        code = "import sys, qcrb_lab.cli; sys.exit('scipy.stats' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestThinnedProbs:
+    @pytest.mark.parametrize(
+        "spec, n_max",
+        [
+            (StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(1.4, 0.3)), 30),
+            (
+                StateSpec(
+                    StateKind.BSMSS,
+                    alpha=ComplexAmplitude(1.0, 0.2),
+                    squeeze=SqueezeSpec(s=0.5, theta=0.7),
+                ),
+                40,
+            ),
+            (StateSpec(StateKind.FOCK, fock_n=5), 7),
+            (seeded_btmss(), 24),
+            (StateSpec(StateKind.BTMSS, squeeze=SqueezeSpec(s=0.5)), 24),
+        ],
+        ids=["coherent", "bsmss", "fock", "btmss", "vtmss"],
+    )
+    def test_equal_the_density_diagonal(self, spec, n_max):
+        ch = ChannelConfig(T=0.45, T_p=0.9, eta_p=0.95, eta_a=0.8)
+        rho = fock.channel_density(spec, ch, n_max=n_max)
+        got = fock.channel_probs(spec, ch, n_max=n_max)
+        want = np.real(np.diag(rho.matrix)).reshape(got.shape)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        om, cm = fock.oracle_moments(rho), fock.count_moments(got)
+        for field in ("mean_p", "var_p", "mean_a", "var_a", "cov_pa"):
+            assert getattr(cm, field) == pytest.approx(getattr(om, field), abs=1e-13)
+
+    def test_unit_transmission_keeps_the_state(self):
+        vec = fock.build_fock_state(seeded_btmss(), n_max=20)
+        rho = fock.pure_density(vec)
+        assert fock.apply_loss_density(rho, 1, 1.0) is rho
+        assert np.allclose(fock.thinned_probs(vec), np.abs(vec.coeffs) ** 2, rtol=1e-15, atol=0)

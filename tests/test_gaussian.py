@@ -104,6 +104,14 @@ class TestConstructors:
         assert np.array_equal(st.d, ref.d)
         assert np.array_equal(st.sigma, ref.sigma)
 
+    @pytest.mark.parametrize("theta", [0.0, 0.4, np.pi / 2, np.pi, -2.0])
+    def test_bsmss_displacement_matches_the_generation_formula(self, theta):
+        a, s = ComplexAmplitude.from_complex(1.5 - 0.8j), 0.9
+        st = make_bsmss(a, SqueezeSpec(s=s, theta=theta))
+        want = a.value * np.cosh(s) - np.conj(a.value) * np.exp(1j * theta) * np.sinh(s)
+        assert abs(st.d[0] - want) <= 1e-14 * a.magnitude * np.exp(s)
+        assert st.d[1] == np.conj(st.d[0])
+
     def test_squeezed_vacuum_mean_photons(self):
         st = make_bsmss(ComplexAmplitude(0), SqueezeSpec(s=1.0))
         assert photon_moments(st).mean_p == pytest.approx(SINH2_1, rel=1e-14)

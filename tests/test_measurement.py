@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qcrb_lab import fock
 from qcrb_lab.gaussian import (
     ChannelConfig,
     ComplexAmplitude,
@@ -13,12 +14,14 @@ from qcrb_lab.gaussian import (
     StateSpec,
 )
 from qcrb_lab.measurement import (
+    EXACT_N_MAX,
     MCConfig,
     MeasurementPlan,
     Sampler,
     Strategy,
     diff_variance,
     intensity_stats,
+    _exact_joint_probs,
     mc_estimate,
     optimal_gain,
     source_moments,
@@ -227,3 +230,50 @@ class TestMonteCarlo:
             spec, ch, MeasurementPlan(Strategy.INTENSITY_DIFF, gain=0.0), cfg
         )
         assert opt.empirical_var_T < raw.empirical_var_T
+
+
+class TestExactSampler:
+    def test_n_max_grows_until_the_tail_passes(self):
+        # at n_max = 40 this twin beam leaves a tail mass of 3.9e-10
+        spec = StateSpec(StateKind.BTMSS, squeeze=SqueezeSpec(s=1.0))
+        ch = ChannelConfig(T=0.5, eta_a=0.9)
+        with pytest.raises(fock.TruncationError):
+            fock.build_fock_state(spec, n_max=EXACT_N_MAX[0])
+        probs, dim = _exact_joint_probs(spec, ch)
+        assert dim == EXACT_N_MAX[1] + 1
+        assert probs.shape == (dim * dim,)
+        m = fock.count_moments(probs.reshape(dim, dim))
+        sq = math.sinh(1.0) ** 2
+        assert m.mean_p == pytest.approx(0.5 * sq, rel=1e-9)
+        assert m.mean_a == pytest.approx(0.9 * sq, rel=1e-9)
+
+    def test_first_truncation_is_kept_when_it_suffices(self):
+        _, dim = _exact_joint_probs(btmss(mag=1.3, s=0.35), ChannelConfig(T=0.7))
+        assert dim == EXACT_N_MAX[0] + 1
+
+    def test_truncation_error_at_the_cap(self):
+        spec = StateSpec(StateKind.BSMSS, squeeze=SqueezeSpec(s=5.0))
+        with pytest.raises(fock.TruncationError):
+            _exact_joint_probs(spec, ChannelConfig(T=0.5))
+
+    def test_fock_probe_above_the_cap_is_rejected(self):
+        spec = StateSpec(StateKind.FOCK, fock_n=EXACT_N_MAX[-1])
+        with pytest.raises(ValueError, match="at most"):
+            mc_estimate(
+                spec,
+                ChannelConfig(T=0.5),
+                MeasurementPlan(Strategy.INTENSITY),
+                MCConfig(trials=1000, seed=0, sampler=Sampler.EXACT),
+            )
+
+    def test_rejects_overflowing_source_moments(self):
+        spec = StateSpec(
+            StateKind.BSMSS, alpha=ComplexAmplitude(1000.0), squeeze=SqueezeSpec(s=300.0)
+        )
+        with pytest.raises(ValueError, match="overflow"):
+            mc_estimate(
+                spec,
+                ChannelConfig(T=0.5),
+                MeasurementPlan(Strategy.INTENSITY),
+                MCConfig(trials=1000, seed=0),
+            )

@@ -173,6 +173,13 @@ class TestGaussianGeneral:
             got = qfi_gaussian(ParamFamily(spec, ChannelConfig(T=T)), T).qfi
             assert got == pytest.approx(closed, rel=1e-10)
 
+    def test_stimulated_photons_of_a_strongly_squeezed_seed(self):
+        # a cosh(s) - a sinh(s) cancels to 0.0 here; the exact value is a^2 e^{-2s}
+        spec = StateSpec(
+            StateKind.BSMSS, alpha=ComplexAmplitude(1000.0), squeeze=SqueezeSpec(s=20.0)
+        )
+        assert stimulated_photons(spec) == pytest.approx(1e6 * math.exp(-40.0), rel=1e-12)
+
     def test_full_qfi_below_maximum(self):
         spec = bright(StateKind.BTMSS, s=1.0, mag=50.0)
         T = 0.4

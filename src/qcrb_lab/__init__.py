@@ -44,6 +44,7 @@ from .qfi import (
     fisher_max,
     fock_qfi_lossy,
     h_factor,
+    lambda_curve,
     lambda_lossy,
     lambda_pure,
     lossy_symplectic_closed_form,

@@ -24,7 +24,7 @@ from .measurement import (
     transmission_var_diff,
     transmission_var_intensity,
 )
-from .qfi import lambda_lossy, lambda_pure
+from .qfi import lambda_curve, lambda_lossy, resource_photons
 from .validate import run_battery
 
 FIGURE_COLUMNS = ["curve_id", "state", "s", "T", "T_p", "eta_p", "eta_a", "lambda"]
@@ -72,6 +72,10 @@ def write_records(records, columns, out, fmt):
             fh.write(text)
 
 
+# Largest accepted grid; it bounds the rows held in memory (figure2: 14 per point).
+GRID_MAX_POINTS = 10_000
+
+
 def parse_grid(text):
     """Parse 'T=a:b:n' into an increasing array of n points in (0, 1)."""
     try:
@@ -84,6 +88,8 @@ def parse_grid(text):
         raise UsageError(f"unknown grid variable {name!r}")
     if n < 2 or not a < b:
         raise UsageError("grid must be strictly increasing with at least 2 points")
+    if n > GRID_MAX_POINTS:
+        raise UsageError(f"grid may hold at most {GRID_MAX_POINTS} points")
     if not (0.0 < a and b < 1.0):
         raise UsageError("T grid must be confined to (0, 1)")
     return np.linspace(a, b, n)
@@ -146,29 +152,37 @@ def run_report(cfg):
     }
 
 
-def _lambda_row(curve_id, state_name, spec, channel):
-    rep = lambda_lossy(spec, channel)
-    return {
-        "curve_id": curve_id,
-        "state": state_name,
-        "s": spec.squeeze.s,
-        "T": channel.T,
-        "T_p": channel.T_p,
-        "eta_p": channel.eta_p,
-        "eta_a": channel.eta_a,
-        "lambda": rep.lam,
-    }
+def curve_rows(curves, grid):
+    """Lambda rows of each (curve_id, spec, channel) curve over the T grid.
+
+    The curves come sorted by their unique ids and the grid increases, so
+    the rows come out ordered by (curve_id, T).
+    """
+    Ts = grid.tolist()
+    rows = []
+    for curve_id, spec, channel in curves:
+        resource_photons(spec, channel)  # raises where Lambda is undefined
+        lams = lambda_curve(spec, channel, grid).tolist()
+        rows.extend(
+            {
+                "curve_id": curve_id,
+                "state": spec.kind.value,
+                "s": spec.squeeze.s,
+                "T": T,
+                "T_p": channel.T_p,
+                "eta_p": channel.eta_p,
+                "eta_a": channel.eta_a,
+                "lambda": lam,
+            }
+            for T, lam in zip(Ts, lams)
+        )
+    return rows
 
 
 def sweep_rows(cfg, grid):
     spec = build_spec(cfg)
-    curve_id = f"{spec.kind.value}_s{spec.squeeze.s:g}"
-    rows = [
-        _lambda_row(curve_id, spec.kind.value, spec, build_channel(cfg, T=T))
-        for T in grid
-    ]
-    rows.sort(key=lambda r: (r["curve_id"], r["T"]))
-    return rows
+    channel = build_channel(cfg, T=grid[0])  # curve_rows sweeps T over the grid
+    return curve_rows([(f"{spec.kind.value}_s{spec.squeeze.s:g}", spec, channel)], grid)
 
 
 FIG2_S_VALUES = [0.0, 0.5, 1.0, 1.5, 2.0]
@@ -184,52 +198,31 @@ def _fig_spec(kind, s):
 
 def figure2_rows(grid):
     """Lossless estimation functions vs T per squeezing, plus the s=2 comparison."""
-    curves = []
-    for kind in (StateKind.BTMSS, StateKind.BSMSS):
-        for s in FIG2_S_VALUES:
-            curves.append((f"{kind.value}_s{s:g}", kind, s))
-    for kind in (StateKind.COHERENT, StateKind.BTMSS, StateKind.BSMSS, StateKind.FOCK):
-        curves.append((f"cmp_{kind.value}", kind, 2.0))
-
-    rows = []
-    for curve_id, kind, s in curves:
-        spec = _fig_spec(kind, s)
-        for T in grid:
-            rows.append(
-                {
-                    "curve_id": curve_id,
-                    "state": kind.value,
-                    "s": 0.0 if kind in (StateKind.COHERENT, StateKind.FOCK) else s,
-                    "T": float(T),
-                    "T_p": 1.0,
-                    "eta_p": 1.0,
-                    "eta_a": 1.0,
-                    "lambda": lambda_pure(spec, float(T)),
-                }
-            )
-    rows.sort(key=lambda r: (r["curve_id"], r["T"]))
-    return rows
+    lossless = ChannelConfig()
+    curves = [
+        (f"{kind.value}_s{s:g}", _fig_spec(kind, s), lossless)
+        for kind in (StateKind.BSMSS, StateKind.BTMSS)
+        for s in FIG2_S_VALUES
+    ]
+    curves += [
+        (f"cmp_{kind.value}", _fig_spec(kind, 2.0), lossless)
+        for kind in (StateKind.BSMSS, StateKind.BTMSS, StateKind.COHERENT, StateKind.FOCK)
+    ]
+    return curve_rows(curves, grid)
 
 
-FIG3_TP_VALUES = [1.0, 0.90, 0.80]
+FIG3_TP_VALUES = [0.80, 0.90, 1.0]
 FIG3_S = 2.0
 
 
 def figure3_rows(grid):
     """Lossy estimation functions for Fock/bSMSS/bTMSS at several T_p."""
-    curves = []
-    for kind in (StateKind.FOCK, StateKind.BSMSS, StateKind.BTMSS):
-        for T_p in FIG3_TP_VALUES:
-            curves.append((f"{kind.value}_Tp{T_p:g}", kind, T_p))
-
-    rows = []
-    for curve_id, kind, T_p in curves:
-        spec = _fig_spec(kind, FIG3_S)
-        for T in grid:
-            ch = ChannelConfig(T=float(T), T_p=T_p, eta_p=0.98, eta_a=0.98)
-            rows.append(_lambda_row(curve_id, kind.value, spec, ch))
-    rows.sort(key=lambda r: (r["curve_id"], r["T"]))
-    return rows
+    curves = [
+        (f"{kind.value}_Tp{T_p:g}", _fig_spec(kind, FIG3_S), ChannelConfig(T_p=T_p, eta_p=0.98, eta_a=0.98))
+        for kind in (StateKind.BSMSS, StateKind.BTMSS, StateKind.FOCK)
+        for T_p in FIG3_TP_VALUES
+    ]
+    return curve_rows(curves, grid)
 
 
 def run_mc(cfg):
@@ -238,11 +231,7 @@ def run_mc(cfg):
     strategy = (
         Strategy.INTENSITY_DIFF if spec.kind is StateKind.BTMSS else Strategy.INTENSITY
     )
-    sampler = (
-        Sampler.EXACT
-        if cfg.get("sampler", "gaussian") == "exact"
-        else Sampler.GAUSSIAN_APPROX
-    )
+    sampler = Sampler.EXACT if cfg.get("sampler") == "exact" else Sampler.GAUSSIAN_APPROX
     res = mc_estimate(
         spec,
         channel,
@@ -261,85 +250,101 @@ def run_mc(cfg):
     }
 
 
-def run_validate(perturb_sigma=0.0, include_mc=True, stream=None):
-    stream = stream or sys.stdout
-    checks = run_battery(perturb_sigma=perturb_sigma, include_mc=include_mc)
+def run_validate():
     ok = True
-    for c in checks:
+    for c in run_battery():
         status = "PASS" if c.passed else "FAIL"
-        stream.write(f"{status}  {c.name}: max_err={c.max_err:.3e} tol={c.tol:.0e}\n")
+        sys.stdout.write(f"{status}  {c.name}: max_err={c.max_err:.3e} tol={c.tol:.0e}\n")
         ok = ok and c.passed
     return ok
+
+
+# Every flag once; a subcommand takes the flags it reads, a --config file their dests.
+FLAGS = {
+    "config": dict(help="JSON config file; flags override its values"),
+    "state": dict(choices=[k.value for k in StateKind]),
+    **{f: dict(type=float) for f in ("alpha", "beta", "s", "theta", "T", "Tp", "eta-p", "eta-a", "gain")},
+    **{f: dict(type=int) for f in ("fock-n", "trials", "seed")},
+    "grid": dict(help="swept variable, e.g. T=0.01:0.99:99"),
+    "sampler": dict(choices=["gaussian", "exact"]),
+    "out": dict(),
+    "format": dict(choices=["csv", "json"]),
+}
+_PROBE = ("state", "alpha", "beta", "s", "theta", "fock-n")
+_LOSSES = ("Tp", "eta-p", "eta-a")
+_OUTPUT = ("out", "format")
+COMMANDS = {
+    "report": ("config", *_PROBE, "T", *_LOSSES, *_OUTPUT),
+    "sweep": ("config", *_PROBE, *_LOSSES, "grid", *_OUTPUT),
+    "figure2": ("config", "grid", *_OUTPUT),
+    "figure3": ("config", "grid", *_OUTPUT),
+    "mc": ("config", *_PROBE, "T", *_LOSSES, "trials", "seed", "gain", "sampler", *_OUTPUT),
+    "validate": (),
+}
 
 
 def _build_parser():
     p = _Parser(prog="qcrb-lab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("report", "sweep", "figure2", "figure3", "mc", "validate"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", help="JSON config file; flags override its values")
-        sp.add_argument("--state", choices=[k.value for k in StateKind])
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--beta", type=float)
-        sp.add_argument("--s", type=float)
-        sp.add_argument("--theta", type=float)
-        sp.add_argument("--fock-n", dest="fock_n", type=int)
-        sp.add_argument("--T", type=float)
-        sp.add_argument("--Tp", type=float)
-        sp.add_argument("--eta-p", dest="eta_p", type=float)
-        sp.add_argument("--eta-a", dest="eta_a", type=float)
-        sp.add_argument("--grid", help="swept variable, e.g. T=0.01:0.99:99")
-        sp.add_argument("--trials", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--gain", type=float)
-        sp.add_argument("--sampler", choices=["gaussian", "exact"])
-        sp.add_argument("--out")
-        sp.add_argument("--format", choices=["csv", "json"], default=None)
-        if name == "validate":
-            sp.add_argument("--perturb-sigma", type=float, default=0.0, help=argparse.SUPPRESS)
-            sp.add_argument("--skip-mc", action="store_true", help=argparse.SUPPRESS)
+    for name, flags in COMMANDS.items():
+        sp = sub.add_parser(name, allow_abbrev=False)
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **FLAGS[flag])
     return p
 
 
-def _merge_config(args):
-    cfg = {}
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                cfg.update(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file: {exc}") from exc
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        cfg[key] = value
-    return cfg
+def _config_argv(command, path):
+    """A config file's values as flags of the command, for argparse to check.
+
+    A flag with an argparse type takes a JSON number, the others a string.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError("config file must hold a JSON object")
+    flags = {f.replace("-", "_"): f for f in COMMANDS[command] if f != "config"}
+    argv = []
+    for key, value in data.items():
+        if key not in flags:
+            raise UsageError(f"config key {key!r} is not an option of {command}")
+        numeric = "type" in FLAGS[flags[key]]
+        if isinstance(value, bool) or not isinstance(value, (int, float) if numeric else str):
+            raise UsageError(f"config key {key!r} must be a JSON {'number' if numeric else 'string'}, not {value!r}")
+        argv.append(f"--{flags[key]}={value}")
+    return argv
+
+
+def _parse_args(argv):
+    """The command and its settings: flags merged over the --config file's."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        # the file's values go right after the command, so later flags win
+        i = argv.index(args.command) + 1
+        args = parser.parse_args([*argv[:i], *_config_argv(args.command, args.config), *argv[i:]])
+    cfg = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("command", "config") and value is not None
+    }
+    return args.command, cfg
 
 
 def main(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        cfg = _merge_config(args)
+        cmd, cfg = _parse_args(argv)
         fmt = cfg.get("format", "csv")
         out = cfg.get("out")
-        cmd = args.command
         if cmd == "validate":
-            ok = run_validate(
-                perturb_sigma=cfg.get("perturb_sigma", 0.0),
-                include_mc=not cfg.get("skip_mc", False),
-            )
-            return 0 if ok else 2
-        if cmd == "report":
+            return 0 if run_validate() else 2
+        if cmd in ("report", "mc"):
             if "T" not in cfg:
-                raise UsageError("report requires --T")
-            rec = run_report(cfg)
-            write_records([rec], list(rec.keys()), out, fmt)
-            return 0
-        if cmd == "mc":
-            if "T" not in cfg:
-                raise UsageError("mc requires --T")
-            rec = run_mc(cfg)
+                raise UsageError(f"{cmd} requires --T")
+            rec = run_report(cfg) if cmd == "report" else run_mc(cfg)
             write_records([rec], list(rec.keys()), out, fmt)
             return 0
         grid = parse_grid(cfg.get("grid", "T=0.01:0.99:99"))
@@ -353,10 +358,7 @@ def main(argv=None):
             rows = figure3_rows(grid)
         write_records(rows, FIGURE_COLUMNS, out, fmt)
         return 0
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -283,7 +283,7 @@ def oracle_moments(rho):
     return count_moments(np.real(np.diag(rho.matrix)).reshape((dim,) * rho.modes))
 
 
-def oracle_qfi(rho_of_T, T, dT=1e-4, rtol=1e-5, eps=1e-12):
+def oracle_qfi(rho_of_T, T, dT=1e-4, rtol=1e-5):
     """QFI by eigendecomposition with a central-difference derivative.
 
     rho_of_T maps a transmission to a FockDensity.  The result must be
@@ -296,7 +296,7 @@ def oracle_qfi(rho_of_T, T, dT=1e-4, rtol=1e-5, eps=1e-12):
         drho = (rho_of_T(T + step).matrix - rho_of_T(T - step).matrix) / (2 * step)
         M = U.conj().T @ drho @ U
         denom = p[:, None] + p[None, :]
-        mask = denom > eps
+        mask = denom > 1e-12  # drop pairs of eigenvalues that are both ~0
         return float(2.0 * np.sum(np.abs(M[mask]) ** 2 / denom[mask]))
 
     f1 = qfi_for(dT)

@@ -24,6 +24,9 @@ BRIGHT_MEAN_MIN = 1e3
 # repeat; the last caps the per-mode basis (a two-mode distribution of 8 MB).
 EXACT_N_MAX = (40, 60, 90, 135, 200, 300, 450, 700, 1000)
 _BLOCK = 1 << 14
+# Largest accepted trial count: bounds the run time and the RNG blocks
+# spawned up front (6,104 at this cap).
+MAX_TRIALS = 10**8
 
 
 class Strategy(Enum):
@@ -53,8 +56,8 @@ class MCConfig:
     sampler: Sampler = Sampler.GAUSSIAN_APPROX
 
     def __post_init__(self):
-        if self.trials < 100:
-            raise ValueError("trials must be >= 100")
+        if not 100 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must lie in [100, {MAX_TRIALS}]")
 
 
 @dataclass(frozen=True)
@@ -180,9 +183,9 @@ def mc_estimate(spec, channel, plan, cfg):
     Samples measurement outcomes, inverts the mean-response map at the
     known calibration constants (T_p, eta_p, eta_a, g) to form the
     estimator, and reports the empirical variance with a z-score against
-    the closed form.  Deterministic for a fixed (seed, trials) pair
-    regardless of worker count: trials are partitioned into fixed-size
-    counter-based RNG blocks.
+    the closed form.  Deterministic for a fixed (seed, trials) pair:
+    trials are partitioned into fixed-size blocks, each drawn from its
+    own counter-based RNG spawned from the seed.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         m0 = source_moments(spec)

@@ -149,9 +149,9 @@ class ParamFamily:
         sigma_dot = dD @ src.sigma @ D + D @ src.sigma @ dD - 2.0 * D @ dD
         return sigma_dot, dscale * src.d
 
-    def derivatives_fd(self, T, rel_step=1e-6):
+    def derivatives_fd(self, T):
         """Richardson-extrapolated central differences; validation fallback."""
-        h = rel_step * max(T, 1e-3)
+        h = 1e-6 * max(T, 1e-3)
 
         def central(step):
             sp = self.state_at(T + step)
@@ -235,16 +235,8 @@ def qfi_gaussian(family, T, bright_limit=False):
 
 
 def lambda_pure(spec, T):
-    """Lossless estimation functions; bright limit for the squeezed kinds."""
-    if not 0.0 < T < 1.0:
-        raise ValueError("T must lie in (0, 1)")
-    if spec.kind is StateKind.COHERENT:
-        return T
-    if spec.kind is StateKind.BTMSS:
-        return T - T * T * (1.0 - 1.0 / math.cosh(2.0 * spec.squeeze.s))
-    if spec.kind is StateKind.BSMSS:
-        return T - T * T * (1.0 - math.exp(-2.0 * spec.squeeze.s))
-    return T - T * T  # Fock (and vTMSS)
+    """Lossless estimation functions: lambda_curve with no external loss."""
+    return lambda_curve(spec, ChannelConfig(), T)
 
 
 def h_factor(s, eta_a):
@@ -257,6 +249,29 @@ def h_factor(s, eta_a):
     return (2.0 * eta_a - 1.0) * (1.0 + 2.0 * sh2) / (1.0 + 2.0 * eta_a * sh2)
 
 
+def lambda_curve(spec, channel, T):
+    """Closed-form estimation function, elementwise over T.
+
+    T (a float or an array) replaces channel.T; the losses come from
+    channel and need eta_p > 0.  Bright-limit forms for the squeezed
+    kinds.  The factor order matches the scalar forms term by term, so
+    an array T gives bit for bit the values of a loop over its floats.
+    """
+    if not np.asarray((0.0 < T) & (T < 1.0)).all():
+        raise ValueError("T must lie in (0, 1)")
+    base = T / channel.eta_p
+    if spec.kind is StateKind.COHERENT:
+        return base
+    if spec.kind is StateKind.BTMSS:
+        s = spec.squeeze.s
+        return base - T * T * channel.T_p * h_factor(s, channel.eta_a) * (
+            1.0 - 1.0 / math.cosh(2.0 * s)
+        )
+    if spec.kind is StateKind.BSMSS:
+        return base - T * T * channel.T_p * (1.0 - math.exp(-2.0 * spec.squeeze.s))
+    return base - T * T * channel.T_p  # Fock
+
+
 def lambda_lossy(spec, channel):
     """Closed-form estimation function with external losses.
 
@@ -264,23 +279,8 @@ def lambda_lossy(spec, channel):
     at the system input, n_r = T_p <n_p>_0 with the stimulated photon
     count for the squeezed states.
     """
-    T, T_p, eta_p = channel.T, channel.T_p, channel.eta_p
-    if not 0.0 < T < 1.0:
-        raise ValueError("T must lie in (0, 1)")
-    n_r = resource_photons(spec, channel)
-    base = T / eta_p
-    if spec.kind is StateKind.COHERENT:
-        lam = base
-    elif spec.kind is StateKind.BTMSS:
-        s = spec.squeeze.s
-        lam = base - T * T * T_p * h_factor(s, channel.eta_a) * (
-            1.0 - 1.0 / math.cosh(2.0 * s)
-        )
-    elif spec.kind is StateKind.BSMSS:
-        s = spec.squeeze.s
-        lam = base - T * T * T_p * (1.0 - math.exp(-2.0 * s))
-    else:  # Fock
-        lam = base - T * T * T_p
+    n_r = resource_photons(spec, channel)  # first: eta_p = 0 raises before a division
+    lam = lambda_curve(spec, channel, channel.T)
     return EstimationReport(
         lam=lam,
         qfi=n_r / lam,

@@ -120,7 +120,7 @@ def test_criterion_3_fock_oracle_equivalence():
 
 def test_criterion_4_lossy_symplectic_eigenvalues():
     with criterion(4, "lossy symplectic eigenvalues", 5.0):
-        res = check_symplectic_closed_form(points=200)
+        res = check_symplectic_closed_form()
         assert res.max_err <= 1e-10, res
 
 

@@ -8,7 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from qcrb_lab import cli
+from qcrb_lab import cli, validate
+from qcrb_lab.gaussian import ChannelConfig, StateKind
+from qcrb_lab.measurement import MAX_TRIALS
+from qcrb_lab.qfi import lambda_lossy
 
 
 def run_cli(capsys, *argv):
@@ -24,7 +27,16 @@ class TestGridParsing:
 
     @pytest.mark.parametrize(
         "bad",
-        ["T=0.9:0.1:5", "T=0:0.9:5", "T=0.1:1.0:5", "T=0.1:0.9:1", "x=0.1:0.9:5", "T=a:b:c", "nonsense"],
+        [
+            "T=0.9:0.1:5",
+            "T=0:0.9:5",
+            "T=0.1:1.0:5",
+            "T=0.1:0.9:1",
+            "x=0.1:0.9:5",
+            "T=a:b:c",
+            "nonsense",
+            f"T=0.1:0.9:{cli.GRID_MAX_POINTS + 1}",
+        ],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(cli.UsageError):
@@ -158,6 +170,26 @@ class TestSweepAndFigures:
                     < by_curve[f"{kind}_Tp0.8"][T]
                 )
 
+    SWEEPS = {
+        "coherent": {"state": "coherent", "alpha": 100.0, "Tp": 0.9, "eta_p": 0.95},
+        "bsmss": {"state": "bsmss", "alpha": 1e3, "s": 1.2, "theta": 1.0, "Tp": 0.85},
+        "btmss": {"state": "btmss", "alpha": 10.0, "beta": 5.0, "s": 0.7, "Tp": 0.9, "eta_p": 0.97, "eta_a": 0.8},
+        "fock": {"state": "fock", "fock_n": 7, "Tp": 0.9, "eta_p": 0.95},
+    }
+
+    @pytest.mark.parametrize("builder", ["figure2", "figure3", *SWEEPS])
+    def test_rows_equal_scalar_lambda_lossy(self, builder):
+        grid = cli.parse_grid("T=0.0123:0.987:517")
+        cfg = self.SWEEPS.get(builder)
+        rows = cli.sweep_rows(cfg, grid) if cfg else getattr(cli, f"{builder}_rows")(grid)
+        keys = [(r["curve_id"], r["T"]) for r in rows]
+        assert keys == sorted(keys)
+        assert [r["T"] for r in rows] == grid.tolist() * (len(rows) // len(grid))
+        for r in rows:
+            spec = cli.build_spec(cfg) if cfg else cli._fig_spec(StateKind(r["state"]), r["s"])
+            ch = ChannelConfig(T=r["T"], T_p=r["T_p"], eta_p=r["eta_p"], eta_a=r["eta_a"])
+            assert r["lambda"] == lambda_lossy(spec, ch).lam, r
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -211,14 +243,80 @@ class TestRejectedInputs:
         [
             ("--state", "bsmss", "--alpha", "1000", "--s", "300"),
             ("--state", "btmss", "--alpha", "0", "--s", "3", "--sampler", "exact"),
+            ("--state", "coherent", "--alpha", "200", "--trials", str(MAX_TRIALS + 1)),
         ],
-        ids=["moments-overflow", "exact-cap"],
+        ids=["moments-overflow", "exact-cap", "trials-cap"],
     )
     def test_mc_exits_1_with_error(self, capsys, argv):
         code, out, err = run_cli(capsys, "mc", *argv, "--T", "0.5")
         assert code == 1
         assert out == ""
         assert any(line.startswith("error: ") for line in err.splitlines())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--state", "coherent", "--alpha", "100", "--eta-p", "0"),
+            ("--state", "btmss", "--alpha", "1000", "--s", "1", "--eta-p", "0"),
+            ("--state", "coherent", "--alpha", "0"),
+            ("--state", "coherent", "--alpha", "100", "--Tp", "1.5"),
+        ],
+        ids=["eta_p0-coherent", "eta_p0-btmss", "no-photons", "Tp-range"],
+    )
+    def test_sweep_exits_1_with_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert code == 1
+        assert out == ""
+        assert any(line.startswith("error: ") for line in err.splitlines())
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"alpha": "10"},
+            {"T": "0.5"},
+            {"Tp": None},
+            {"fock_n": [3]},
+            {"state": ["x"]},
+            {"alpha": True},
+            {"bogus": 1},
+            {"grid": "T=0.1:0.9:5"},
+            [1, 2],
+        ],
+        ids=["alpha-str", "T-str", "Tp-null", "fock_n-list", "state-list", "alpha-bool", "unknown-key",
+             "unread-key", "not-an-object"],
+    )
+    def test_bad_config_exits_1_with_error(self, capsys, tmp_path, config):
+        if isinstance(config, dict):
+            config = {"state": "coherent", "alpha": 10.0, "T": 0.5, **config}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "report", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert any(line.startswith("error: ") for line in err.splitlines())
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("validate", "--format", "json", "--out", "{tmp}/v.json"),
+            ("validate", "--skip-mc"),
+            ("sweep", "--state", "coherent", "--alpha", "10", "--T", "0.5"),
+            ("figure2", "--state", "btmss", "--s", "9"),
+            ("figure3", "--Tp", "0.5"),
+            ("report", "--state", "coherent", "--alpha", "10", "--T", "0.5", "--grid", "T=0.1:0.9:5"),
+            ("report", "--state", "coherent", "--alpha", "10", "--T", "0.5", "--trials", "1000"),
+        ],
+        ids=["validate-output", "validate-hidden", "sweep-T", "figure2-probe", "figure3-loss", "report-grid",
+             "report-trials"],
+    )
+    def test_unread_flag_exits_1_with_error(self, capsys, tmp_path, argv):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert any(line.startswith("error: ") for line in err.splitlines())
+        assert not (tmp_path / "v.json").exists()
 
 
 class TestExtremeInputs:
@@ -292,15 +390,20 @@ class TestMC:
 
 class TestValidate:
     def test_clean_build_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "validate", "--skip-mc")
+        code, out, _ = run_cli(capsys, "validate")
         assert code == 0
         lines = [l for l in out.splitlines() if l]
+        assert len(lines) == 8
         assert all(l.startswith("PASS") for l in lines)
 
-    def test_perturbation_negative_control(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "validate", "--skip-mc", "--perturb-sigma", "1e-6"
-        )
+    def test_perturbation_negative_control(self, capsys, monkeypatch):
+        closed_form = validate.lossy_symplectic_closed_form
+
+        def perturbed(squeeze, channel):
+            return tuple(x + 1e-6 for x in closed_form(squeeze, channel))
+
+        monkeypatch.setattr(validate, "lossy_symplectic_closed_form", perturbed)
+        code, out, _ = run_cli(capsys, "validate")
         assert code == 2
         assert any(l.startswith("FAIL") for l in out.splitlines())
 

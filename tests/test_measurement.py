@@ -15,6 +15,7 @@ from qcrb_lab.gaussian import (
 )
 from qcrb_lab.measurement import (
     EXACT_N_MAX,
+    MAX_TRIALS,
     MCConfig,
     MeasurementPlan,
     Sampler,
@@ -220,6 +221,8 @@ class TestMonteCarlo:
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             MCConfig(trials=10, seed=0)
+        with pytest.raises(ValueError, match="trials must lie in"):
+            MCConfig(trials=MAX_TRIALS + 1, seed=0)
 
     def test_optimized_gain_beats_unit_gain(self):
         spec = btmss(mag=2e3, s=1.2)

@@ -24,6 +24,7 @@ from qcrb_lab.qfi import (
     fisher_max,
     fock_qfi_lossy,
     h_factor,
+    lambda_curve,
     lambda_lossy,
     lambda_pure,
     lossy_symplectic_closed_form,
@@ -93,6 +94,9 @@ class TestClosedFormsLossless:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             lambda_pure(bright(StateKind.COHERENT), 0.0)
+        for bad in ([0.5, 1.0], [0.0, 0.5], [0.5, np.nan]):
+            with pytest.raises(ValueError):
+                lambda_curve(bright(StateKind.BTMSS), ChannelConfig(), np.array(bad))
         with pytest.raises(ValueError):
             fisher_max(1.0, 1.0)
         with pytest.raises(ValueError):
@@ -102,9 +106,10 @@ class TestClosedFormsLossless:
 class TestClosedFormsLossy:
     def test_reduces_to_lossless(self):
         ch = ChannelConfig(T=0.6)
-        for kind in (StateKind.COHERENT, StateKind.BTMSS, StateKind.BSMSS):
-            rep = lambda_lossy(bright(kind), ch)
-            assert rep.lam == pytest.approx(lambda_pure(bright(kind), 0.6), rel=1e-14)
+        probes = [bright(k) for k in (StateKind.COHERENT, StateKind.BTMSS, StateKind.BSMSS)]
+        for spec in probes + [StateSpec(StateKind.FOCK, fock_n=3)]:
+            rep = lambda_lossy(spec, ch)
+            assert rep.lam == lambda_pure(spec, 0.6)
             assert rep.method is QFIMethod.CLOSED_FORM
 
     def test_h_factor_frozen_value(self):

@@ -1,9 +1,9 @@
 """Intensity measurements saturate the transmission-estimation bound.
 
 For each probe, compares the error-propagated variance of the practical
-measurement (direct intensity, or the gain-optimized intensity difference
-for the two-mode probe) against the quantum Cramer-Rao bound.  The ratio
-is 1 everywhere -- including with losses.
+measurement the probe picks (direct intensity, or the gain-optimized
+intensity difference for the two-mode probe) against the quantum
+Cramer-Rao bound.  The ratio is 1 everywhere -- including with losses.
 
 Run:  python3 demos/measurement_saturation.py
 """
@@ -15,8 +15,7 @@ from qcrb_lab.measurement import (
     diff_variance,
     optimal_gain,
     source_moments,
-    transmission_var_diff,
-    transmission_var_intensity,
+    transmission_var,
 )
 from qcrb_lab.qfi import lambda_lossy
 
@@ -41,10 +40,7 @@ print(f"channel: T={ch.T}, T_p={ch.T_p}, eta_p={ch.eta_p}, eta_a={ch.eta_a}\n")
 print("probe / strategy          delta^2(T)        QCRB          ratio")
 for name, spec in probes:
     rep = lambda_lossy(spec, ch)
-    if spec.kind is StateKind.BTMSS:
-        var = transmission_var_diff(spec, ch)
-    else:
-        var = transmission_var_intensity(spec, ch)
+    var = transmission_var(spec, ch)
     print(f"{name}   {var:.6e}  {rep.qcrb:.6e}  {var / rep.qcrb:12.9f}")
 
 # the electronic gain matters: sweep it around the optimum

@@ -15,7 +15,6 @@ from qcrb_lab.measurement import (
     MCConfig,
     MeasurementPlan,
     Sampler,
-    Strategy,
     mc_estimate,
 )
 
@@ -26,14 +25,14 @@ runs = [
         "coherent, exact Poisson counts",
         StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(100.0)),
         ChannelConfig(T=0.5),
-        MeasurementPlan(Strategy.INTENSITY),
+        MeasurementPlan(),
         Sampler.EXACT,
     ),
     (
         "Fock n=20, exact binomial counts",
         StateSpec(StateKind.FOCK, fock_n=20),
         ChannelConfig(T=0.5, T_p=0.9, eta_p=0.98),
-        MeasurementPlan(Strategy.INTENSITY),
+        MeasurementPlan(),
         Sampler.EXACT,
     ),
     (
@@ -44,7 +43,7 @@ runs = [
             squeeze=SqueezeSpec(s=1.0, theta=np.pi),
         ),
         ChannelConfig(T=0.5, T_p=0.95, eta_p=0.98, eta_a=0.96),
-        MeasurementPlan(Strategy.INTENSITY_DIFF),
+        MeasurementPlan(),
         Sampler.GAUSSIAN_APPROX,
     ),
 ]
@@ -62,8 +61,8 @@ spec = runs[2][1]
 ch = runs[2][2]
 print("bTMSS difference measurement: optimized gain vs no subtraction")
 for label, plan in [
-    ("g = g_opt", MeasurementPlan(Strategy.INTENSITY_DIFF)),
-    ("g = 0    ", MeasurementPlan(Strategy.INTENSITY_DIFF, gain=0.0)),
+    ("g = g_opt", MeasurementPlan()),
+    ("g = 0    ", MeasurementPlan(gain=0.0)),
 ]:
     res = mc_estimate(spec, ch, plan, MCConfig(trials=TRIALS, seed=7))
     print(f"  {label}  empirical var(T^) = {res.empirical_var_T:.6e}")

@@ -33,8 +33,8 @@ from .measurement import (
     intensity_stats,
     mc_estimate,
     optimal_gain,
-    transmission_var_diff,
-    transmission_var_intensity,
+    strategy_for,
+    transmission_var,
 )
 from .qfi import (
     EstimationReport,

@@ -15,15 +15,7 @@ import sys
 import numpy as np
 
 from .gaussian import ChannelConfig, ComplexAmplitude, SqueezeSpec, StateKind, StateSpec
-from .measurement import (
-    MCConfig,
-    MeasurementPlan,
-    Sampler,
-    Strategy,
-    mc_estimate,
-    transmission_var_diff,
-    transmission_var_intensity,
-)
+from .measurement import MCConfig, MeasurementPlan, Sampler, mc_estimate, strategy_for, transmission_var
 from .qfi import lambda_curve, lambda_lossy, resource_photons
 from .validate import run_battery
 
@@ -92,7 +84,19 @@ def parse_grid(text):
         raise UsageError(f"grid may hold at most {GRID_MAX_POINTS} points")
     if not (0.0 < a and b < 1.0):
         raise UsageError("T grid must be confined to (0, 1)")
-    return np.linspace(a, b, n)
+    grid = np.linspace(a, b, n)
+    if not (np.diff(grid) > 0).all():  # a and b closer than n points can resolve
+        raise UsageError("grid must be strictly increasing with at least 2 points")
+    return grid
+
+
+# The probe parameters each state reads; build_spec refuses the others.
+PROBE_KEYS = {
+    StateKind.COHERENT: ("alpha",),
+    StateKind.BSMSS: ("alpha", "s", "theta"),
+    StateKind.BTMSS: ("alpha", "beta", "s", "theta"),
+    StateKind.FOCK: ("fock_n",),
+}
 
 
 def build_spec(cfg):
@@ -101,6 +105,10 @@ def build_spec(cfg):
         kind = kind_map[cfg["state"]]
     except KeyError:
         raise UsageError(f"unknown state {cfg.get('state')!r}")
+    probe_keys = {key for keys in PROBE_KEYS.values() for key in keys}
+    unread = sorted(probe_keys.intersection(cfg).difference(PROBE_KEYS[kind]))
+    if unread:
+        raise UsageError(f"state {kind.value} does not read {', '.join(unread)} (it reads {', '.join(PROBE_KEYS[kind])})")
     alpha = ComplexAmplitude(cfg.get("alpha", 0.0))
     beta = ComplexAmplitude(cfg.get("beta", 0.0))
     s = cfg.get("s", 0.0)
@@ -133,12 +141,7 @@ def run_report(cfg):
     spec = build_spec(cfg)
     channel = build_channel(cfg)
     rep = lambda_lossy(spec, channel)
-    if spec.kind is StateKind.BTMSS:
-        var_T = transmission_var_diff(spec, channel)
-        strategy = Strategy.INTENSITY_DIFF.value
-    else:
-        var_T = transmission_var_intensity(spec, channel)
-        strategy = Strategy.INTENSITY.value
+    var_T = transmission_var(spec, channel)
     return {
         "state": spec.kind.value,
         "T": channel.T,
@@ -147,7 +150,7 @@ def run_report(cfg):
         "qcrb": rep.qcrb,
         "n_resource": rep.n_resource,
         "method": rep.method.value,
-        "strategy": strategy,
+        "strategy": strategy_for(spec).value,
         "delta2_T": var_T,
     }
 
@@ -228,20 +231,17 @@ def figure3_rows(grid):
 def run_mc(cfg):
     spec = build_spec(cfg)
     channel = build_channel(cfg)
-    strategy = (
-        Strategy.INTENSITY_DIFF if spec.kind is StateKind.BTMSS else Strategy.INTENSITY
-    )
     sampler = Sampler.EXACT if cfg.get("sampler") == "exact" else Sampler.GAUSSIAN_APPROX
     res = mc_estimate(
         spec,
         channel,
-        MeasurementPlan(strategy=strategy, gain=cfg.get("gain")),
+        MeasurementPlan(gain=cfg.get("gain")),
         MCConfig(trials=int(cfg.get("trials", 10000)), seed=int(cfg.get("seed", 0)), sampler=sampler),
     )
     return {
         "state": spec.kind.value,
         "T": channel.T,
-        "strategy": strategy.value,
+        "strategy": strategy_for(spec).value,
         "empirical_var_T": res.empirical_var_T,
         "closed_form_var_T": res.closed_form_var_T,
         "z_score": res.z_score,

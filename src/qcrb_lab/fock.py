@@ -18,9 +18,7 @@ import numpy as np
 
 from .gaussian import Moments, StateKind
 
-N_MAX_DEFAULT = 60
 TAIL_TOL = 1e-10
-NORM_TOL = 1e-10
 
 
 class TruncationError(ValueError):
@@ -107,7 +105,7 @@ def _btmss_coeffs(alpha, beta, s, theta, n_max):
     return c / np.linalg.norm(c)
 
 
-def build_fock_state(spec, n_max=N_MAX_DEFAULT):
+def build_fock_state(spec, n_max):
     """Expand a StateSpec in the truncated number basis (Yuen ordering)."""
     if spec.kind is StateKind.FOCK:
         if spec.fock_n > n_max - 2:
@@ -174,12 +172,6 @@ def binomial_table(n_max, t):
     return table
 
 
-def _losses(channel, T):
-    """Probe and auxiliary transmissions; T replaces the channel's system T."""
-    T_sys = channel.T if T is None else T
-    return channel.T_p * T_sys * channel.eta_p, channel.eta_a
-
-
 def pure_density(state):
     """Density matrix |psi><psi| of a pure state."""
     v = state.coeffs.reshape(-1)
@@ -223,13 +215,16 @@ def apply_loss_density(rho, mode, t):
     )
 
 
-def channel_density(spec, channel, n_max=N_MAX_DEFAULT, T=None):
-    """Source state through the full loss chain; probe losses are composed."""
-    t_p, t_a = _losses(channel, T)
+def channel_density(spec, channel, n_max, T=None):
+    """Source state through the full loss chain; probe losses are composed.
+
+    T, if given, replaces the channel's system transmission.
+    """
+    t_p = channel.T_p * (channel.T if T is None else T) * channel.eta_p
     state = build_fock_state(spec, n_max=n_max)
     rho = apply_loss_density(pure_density(state), 0, t_p)
     if state.modes == 2:
-        rho = apply_loss_density(rho, 1, t_a)
+        rho = apply_loss_density(rho, 1, channel.eta_a)
     return rho
 
 
@@ -250,10 +245,10 @@ def thinned_probs(state, t_p=1.0, t_a=1.0):
     return probs
 
 
-def channel_probs(spec, channel, n_max=N_MAX_DEFAULT, T=None):
+def channel_probs(spec, channel, n_max):
     """Photon-count distribution after the full loss chain (see thinned_probs)."""
-    t_p, t_a = _losses(channel, T)
-    return thinned_probs(build_fock_state(spec, n_max=n_max), t_p, t_a)
+    state = build_fock_state(spec, n_max=n_max)
+    return thinned_probs(state, channel.probe_transmission, channel.eta_a)
 
 
 def count_moments(probs):

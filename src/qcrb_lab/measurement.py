@@ -1,7 +1,9 @@
-"""Measurement strategies that saturate the transmission-estimation bound.
+"""Measurements that saturate the transmission-estimation bound.
 
-Closed-form intensity and gain-optimized intensity-difference variances,
-error propagation to a transmission variance, and a seeded Monte Carlo
+Each probe has one saturating measurement, picked by strategy_for:
+direct intensity for the single-mode probes, the gain-optimized
+intensity difference for the bTMSS.  Closed-form variances, error
+propagation to a transmission variance, and a seeded Monte Carlo
 harness that checks the closed forms against empirical estimator
 variance.
 """
@@ -39,10 +41,18 @@ class Sampler(Enum):
     GAUSSIAN_APPROX = "GaussianApprox"
 
 
+def strategy_for(spec):
+    """The measurement that saturates the bound for this probe.
+
+    The gain-optimized intensity difference for the bTMSS, direct
+    intensity for every single-mode probe.
+    """
+    return Strategy.INTENSITY_DIFF if spec.kind is StateKind.BTMSS else Strategy.INTENSITY
+
+
 @dataclass(frozen=True)
 class MeasurementPlan:
-    strategy: Strategy
-    gain: float | None = None  # IntensityDiff only; None = use optimal gain
+    gain: float | None = None  # bTMSS only; None = use optimal gain
 
     def __post_init__(self):
         if self.gain is not None and not math.isfinite(self.gain):
@@ -88,20 +98,6 @@ _FANO = {
 }
 
 
-def transmission_var_intensity(spec, channel):
-    """Error-propagated transmission variance of an intensity measurement.
-
-    Single-mode probes only; uses the source Fano factor (bright-limit
-    value for the bSMSS).
-    """
-    if spec.kind not in _FANO:
-        raise ValueError("intensity measurement handles single-mode probes only")
-    fano = _FANO[spec.kind](spec)
-    T, T_p = channel.T, channel.T_p
-    n_r = resource_photons(spec, channel)
-    return T / (channel.eta_p * n_r) - (T * T * T_p / n_r) * (1.0 - fano)
-
-
 def optimal_gain(moments0, channel):
     """Electronic gain minimizing the intensity-difference variance."""
     denom = channel.eta_a * moments0.var_a + (1.0 - channel.eta_a) * moments0.mean_a
@@ -119,29 +115,31 @@ def diff_variance(moments0, channel, g):
     return var_p + g * g * var_a - 2.0 * g * t_p * t_a * moments0.cov_pa
 
 
-def transmission_var_diff(spec, channel):
-    """Transmission variance of the gain-optimized intensity difference.
+def transmission_var(spec, channel):
+    """Error-propagated transmission variance of the probe's measurement.
 
-    Closed form for the bTMSS; the derivative of the mean response is
-    taken at fixed gain.  A doubly seeded state away from cos(Theta) = -1
-    does not saturate the bound; the value is still returned with a
-    warning.
+    The measurement is strategy_for(spec).  Single-mode probes use the
+    source Fano factor (bright-limit value for the bSMSS); the bTMSS
+    closed form takes the derivative of the mean response at fixed gain.
+    A doubly seeded bTMSS away from cos(Theta) = -1 does not saturate
+    the bound; the value is still returned with a warning.
     """
-    if spec.kind is not StateKind.BTMSS:
-        raise ValueError("intensity-difference measurement requires a bTMSS probe")
-    if spec.alpha.magnitude > 0 and spec.beta.magnitude > 0:
-        if math.cos(big_theta(spec)) > -1.0 + 1e-12:
-            warnings.warn(
-                "doubly seeded bTMSS with cos(Theta) != -1: the optimized "
-                "intensity difference does not saturate the bound",
-                stacklevel=2,
-            )
-    s = spec.squeeze.s
     T, T_p = channel.T, channel.T_p
+    if spec.kind is StateKind.BTMSS:
+        if spec.alpha.magnitude > 0 and spec.beta.magnitude > 0:
+            if math.cos(big_theta(spec)) > -1.0 + 1e-12:
+                warnings.warn(
+                    "doubly seeded bTMSS with cos(Theta) != -1: the optimized "
+                    "intensity difference does not saturate the bound",
+                    stacklevel=2,
+                )
+        s = spec.squeeze.s
+        n_r = resource_photons(spec, channel)
+        return T / (channel.eta_p * n_r) - (T * T * T_p / n_r) * h_factor(
+            s, channel.eta_a
+        ) * (1.0 - 1.0 / math.cosh(2.0 * s))
     n_r = resource_photons(spec, channel)
-    return T / (channel.eta_p * n_r) - (T * T * T_p / n_r) * h_factor(
-        s, channel.eta_a
-    ) * (1.0 - 1.0 / math.cosh(2.0 * s))
+    return T / (channel.eta_p * n_r) - (T * T * T_p / n_r) * (1.0 - _FANO[spec.kind](spec))
 
 
 def _block_rngs(seed, trials):
@@ -180,13 +178,17 @@ def _exact_joint_probs(spec, channel):
 def mc_estimate(spec, channel, plan, cfg):
     """Monte Carlo check of the closed-form transmission variance.
 
-    Samples measurement outcomes, inverts the mean-response map at the
-    known calibration constants (T_p, eta_p, eta_a, g) to form the
-    estimator, and reports the empirical variance with a z-score against
-    the closed form.  Deterministic for a fixed (seed, trials) pair:
-    trials are partitioned into fixed-size blocks, each drawn from its
-    own counter-based RNG spawned from the seed.
+    Samples outcomes of the probe's measurement (strategy_for), inverts
+    the mean-response map at the known calibration constants (T_p,
+    eta_p, eta_a, g) to form the estimator, and reports the empirical
+    variance with a z-score against the closed form.  Deterministic for
+    a fixed (seed, trials) pair: trials are partitioned into fixed-size
+    blocks, each drawn from its own counter-based RNG spawned from the
+    seed.
     """
+    strategy = strategy_for(spec)
+    if plan.gain is not None and strategy is Strategy.INTENSITY:
+        raise ValueError("gain applies to a bTMSS probe only: a single-mode probe has no auxiliary mode")
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         m0 = source_moments(spec)
     if not all(map(math.isfinite, astuple(m0))):
@@ -196,7 +198,7 @@ def mc_estimate(spec, channel, plan, cfg):
     if slope <= 0:
         raise ValueError("vacuum probe: mean response is flat")
 
-    if plan.strategy is Strategy.INTENSITY_DIFF:
+    if strategy is Strategy.INTENSITY_DIFF:
         g = plan.gain if plan.gain is not None else optimal_gain(m0, channel)
         closed_var_n = diff_variance(m0, channel, g)
         offset = g * channel.eta_a * m0.mean_a
@@ -217,7 +219,7 @@ def mc_estimate(spec, channel, plan, cfg):
         cov = t_probe * channel.eta_a * m0.cov_pa
 
         def draw(rng, size):
-            if plan.strategy is Strategy.INTENSITY:
+            if strategy is Strategy.INTENSITY:
                 return rng.normal(mean_p, math.sqrt(var_p), size)
             # conditional decomposition of the bivariate normal
             xp = rng.normal(mean_p, math.sqrt(var_p), size)

@@ -22,15 +22,7 @@ from .gaussian import (
     photon_moments,
     symplectic_eigenvalues,
 )
-from .measurement import (
-    MCConfig,
-    MeasurementPlan,
-    Sampler,
-    Strategy,
-    mc_estimate,
-    transmission_var_diff,
-    transmission_var_intensity,
-)
+from .measurement import MCConfig, MeasurementPlan, Sampler, mc_estimate, transmission_var
 from .qfi import (
     ParamFamily,
     fisher_max,
@@ -129,26 +121,10 @@ def check_measurement_saturation():
         for s in S_GRID:
             for T in T_GRID:
                 ch = ChannelConfig(T=T, **ch_kw)
-                sq = SqueezeSpec(s=s, theta=np.pi)
-                single = [
-                    StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(1e3)),
-                    StateSpec(
-                        StateKind.BSMSS,
-                        alpha=ComplexAmplitude(1e3),
-                        squeeze=SqueezeSpec(s=s),
-                    ),
-                    StateSpec(StateKind.FOCK, fock_n=20),
-                ]
-                for spec in single:
+                for spec in [*_bright_specs(s), StateSpec(StateKind.FOCK, fock_n=20)]:
                     rep = lambda_lossy(spec, ch)
-                    lam_meas = transmission_var_intensity(spec, ch) * rep.n_resource
+                    lam_meas = transmission_var(spec, ch) * rep.n_resource
                     worst = max(worst, abs(lam_meas - rep.lam) / rep.lam)
-                btmss = StateSpec(
-                    StateKind.BTMSS, alpha=ComplexAmplitude(1e3), squeeze=sq
-                )
-                rep = lambda_lossy(btmss, ch)
-                lam_meas = transmission_var_diff(btmss, ch) * rep.n_resource
-                worst = max(worst, abs(lam_meas - rep.lam) / rep.lam)
     return CheckResult("measurement_saturation_identity", worst, 1e-10)
 
 
@@ -231,7 +207,6 @@ def check_mc_zscores():
             (
                 StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(200.0)),
                 ChannelConfig(T=T),
-                MeasurementPlan(Strategy.INTENSITY),
                 Sampler.GAUSSIAN_APPROX,
                 1000 + i,
             )
@@ -240,7 +215,6 @@ def check_mc_zscores():
             (
                 StateSpec(StateKind.BTMSS, alpha=ComplexAmplitude(200.0), squeeze=sq),
                 ChannelConfig(T=T, T_p=0.95, eta_p=0.97, eta_a=0.96),
-                MeasurementPlan(Strategy.INTENSITY_DIFF),
                 Sampler.GAUSSIAN_APPROX,
                 2000 + i,
             )
@@ -249,7 +223,6 @@ def check_mc_zscores():
             (
                 StateSpec(StateKind.FOCK, fock_n=12),
                 ChannelConfig(T=T, T_p=0.9, eta_p=0.95),
-                MeasurementPlan(Strategy.INTENSITY),
                 Sampler.EXACT,
                 3000 + i,
             )
@@ -258,14 +231,13 @@ def check_mc_zscores():
             (
                 StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(60.0)),
                 ChannelConfig(T=T, eta_p=0.9),
-                MeasurementPlan(Strategy.INTENSITY),
                 Sampler.EXACT,
                 4000 + i,
             )
         )
     bad = 0
-    for spec, ch, plan, sampler, seed in configs:
-        res = mc_estimate(spec, ch, plan, MCConfig(trials=2000, seed=seed, sampler=sampler))
+    for spec, ch, sampler, seed in configs:
+        res = mc_estimate(spec, ch, MeasurementPlan(), MCConfig(trials=2000, seed=seed, sampler=sampler))
         if abs(res.z_score) >= 3.0:
             bad += 1
     return CheckResult("mc_zscore_battery", bad / len(configs), 0.01)

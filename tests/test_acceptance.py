@@ -27,7 +27,6 @@ from qcrb_lab.measurement import (
     MCConfig,
     MeasurementPlan,
     Sampler,
-    Strategy,
     mc_estimate,
 )
 from qcrb_lab.qfi import (
@@ -136,7 +135,7 @@ def test_criterion_6_monte_carlo_saturation():
         res = mc_estimate(
             coh,
             ChannelConfig(T=0.5),
-            MeasurementPlan(Strategy.INTENSITY),
+            MeasurementPlan(),
             MCConfig(trials=100000, seed=101, sampler=Sampler.EXACT),
         )
         assert abs(res.z_score) < 3.0, res
@@ -145,7 +144,7 @@ def test_criterion_6_monte_carlo_saturation():
         res = mc_estimate(
             fock_spec,
             ChannelConfig(T=0.5, T_p=0.9, eta_p=0.98),
-            MeasurementPlan(Strategy.INTENSITY),
+            MeasurementPlan(),
             MCConfig(trials=100000, seed=202, sampler=Sampler.EXACT),
         )
         assert abs(res.z_score) < 3.0, res
@@ -155,10 +154,10 @@ def test_criterion_6_monte_carlo_saturation():
         for rep in range(20):
             cfg = MCConfig(trials=20000, seed=5000 + rep)
             opt = mc_estimate(
-                btmss, ch, MeasurementPlan(Strategy.INTENSITY_DIFF), cfg
+                btmss, ch, MeasurementPlan(), cfg
             )
             raw = mc_estimate(
-                btmss, ch, MeasurementPlan(Strategy.INTENSITY_DIFF, gain=0.0), cfg
+                btmss, ch, MeasurementPlan(gain=0.0), cfg
             )
             assert opt.empirical_var_T < raw.empirical_var_T, rep
 

@@ -36,6 +36,7 @@ class TestGridParsing:
             "T=a:b:c",
             "nonsense",
             f"T=0.1:0.9:{cli.GRID_MAX_POINTS + 1}",
+            "T=0.5:0.5000000000000001:3",
         ],
     )
     def test_rejects_malformed(self, bad):
@@ -219,6 +220,8 @@ class TestRejectedInputs:
             ("--state", "btmss", "--alpha", "10", "--beta", "5", "--s", "1", "--theta", "nan"),
             ("--state", "coherent", "--alpha", "inf"),
             ("--state", "coherent", "--alpha", "1e200"),
+            ("--state", "coherent", "--alpha", "10", "--s", "5", "--fock-n", "9"),
+            ("--state", "fock", "--fock-n", "3", "--alpha", "5"),
         ],
         ids=[
             "eta_p0-coherent",
@@ -230,6 +233,8 @@ class TestRejectedInputs:
             "theta-nan",
             "alpha-inf",
             "photons-overflow",
+            "coherent-unread-s-fock_n",
+            "fock-unread-alpha",
         ],
     )
     def test_report_exits_1_with_error(self, capsys, argv):
@@ -244,8 +249,9 @@ class TestRejectedInputs:
             ("--state", "bsmss", "--alpha", "1000", "--s", "300"),
             ("--state", "btmss", "--alpha", "0", "--s", "3", "--sampler", "exact"),
             ("--state", "coherent", "--alpha", "200", "--trials", str(MAX_TRIALS + 1)),
+            ("--state", "coherent", "--alpha", "200", "--trials", "1000", "--gain", "7"),
         ],
-        ids=["moments-overflow", "exact-cap", "trials-cap"],
+        ids=["moments-overflow", "exact-cap", "trials-cap", "gain-single-mode"],
     )
     def test_mc_exits_1_with_error(self, capsys, argv):
         code, out, err = run_cli(capsys, "mc", *argv, "--T", "0.5")
@@ -260,8 +266,10 @@ class TestRejectedInputs:
             ("--state", "btmss", "--alpha", "1000", "--s", "1", "--eta-p", "0"),
             ("--state", "coherent", "--alpha", "0"),
             ("--state", "coherent", "--alpha", "100", "--Tp", "1.5"),
+            ("--state", "bsmss", "--alpha", "100", "--s", "1", "--beta", "3"),
+            ("--state", "fock", "--fock-n", "2", "--grid", "T=0.5:0.5000000000000001:3"),
         ],
-        ids=["eta_p0-coherent", "eta_p0-btmss", "no-photons", "Tp-range"],
+        ids=["eta_p0-coherent", "eta_p0-btmss", "no-photons", "Tp-range", "bsmss-unread-beta", "repeated-points"],
     )
     def test_sweep_exits_1_with_error(self, capsys, argv):
         code, out, err = run_cli(capsys, "sweep", *argv)
@@ -280,10 +288,11 @@ class TestRejectedInputs:
             {"alpha": True},
             {"bogus": 1},
             {"grid": "T=0.1:0.9:5"},
+            {"s": 1.0},
             [1, 2],
         ],
         ids=["alpha-str", "T-str", "Tp-null", "fock_n-list", "state-list", "alpha-bool", "unknown-key",
-             "unread-key", "not-an-object"],
+             "unread-key", "unread-probe-key", "not-an-object"],
     )
     def test_bad_config_exits_1_with_error(self, capsys, tmp_path, config):
         if isinstance(config, dict):
@@ -386,6 +395,26 @@ class TestMC:
         )
         assert code == 0
         assert abs(json.loads(out)[0]["z_score"]) < 5.0
+
+
+class TestStrategyLabel:
+    @pytest.mark.parametrize(
+        "probe, mc_args, label",
+        [
+            (("--state", "coherent", "--alpha", "50"), ("--sampler", "exact"), "Intensity"),
+            (("--state", "bsmss", "--alpha", "1000", "--s", "0.5"), (), "Intensity"),
+            (("--state", "fock", "--fock-n", "10"), ("--sampler", "exact"), "Intensity"),
+            (("--state", "btmss", "--alpha", "1000", "--s", "1", "--theta", str(math.pi)), (), "IntensityDiff"),
+        ],
+        ids=["coherent", "bsmss", "fock", "btmss"],
+    )
+    def test_report_and_mc_agree(self, capsys, probe, mc_args, label):
+        code, out, err = run_cli(capsys, "report", *probe, "--T", "0.5", "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)[0]["strategy"] == label
+        code, out, err = run_cli(capsys, "mc", *probe, "--T", "0.5", "--trials", "1000", *mc_args, "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)[0]["strategy"] == label
 
 
 class TestValidate:

@@ -19,7 +19,6 @@ from qcrb_lab.measurement import (
     MCConfig,
     MeasurementPlan,
     Sampler,
-    Strategy,
     diff_variance,
     intensity_stats,
     _exact_joint_probs,
@@ -27,10 +26,12 @@ from qcrb_lab.measurement import (
     optimal_gain,
     source_moments,
     thinned_stats,
-    transmission_var_diff,
-    transmission_var_intensity,
+    transmission_var,
 )
 from qcrb_lab.qfi import lambda_lossy
+
+
+SINGLE_MODE_CHANNELS = (ChannelConfig(T=0.6, T_p=0.9, eta_p=0.97),)
 
 
 def btmss(mag=1e3, s=1.0):
@@ -55,45 +56,37 @@ class TestClosedForms:
         mean, var = intensity_stats(m, 0.4)
         assert mean == pytest.approx(var)  # Poisson in, Poisson out
 
-    def test_intensity_saturation_all_single_mode(self):
-        ch = ChannelConfig(T=0.6, T_p=0.9, eta_p=0.97)
-        for spec in (
-            StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(1e3)),
-            StateSpec(
-                StateKind.BSMSS, alpha=ComplexAmplitude(1e3), squeeze=SqueezeSpec(s=1.5)
+    @pytest.mark.parametrize(
+        "spec, channels",
+        [
+            (StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(1e3)), SINGLE_MODE_CHANNELS),
+            (
+                StateSpec(StateKind.BSMSS, alpha=ComplexAmplitude(1e3), squeeze=SqueezeSpec(s=1.5)),
+                SINGLE_MODE_CHANNELS,
             ),
-            StateSpec(StateKind.FOCK, fock_n=30),
-        ):
+            (StateSpec(StateKind.FOCK, fock_n=30), SINGLE_MODE_CHANNELS),
+            (btmss(s=1.3), (ChannelConfig(T=0.4), ChannelConfig(T=0.7, T_p=0.9, eta_p=0.98, eta_a=0.95))),
+        ],
+        ids=["coherent", "bsmss", "fock", "btmss"],
+    )
+    def test_saturation(self, spec, channels):
+        for ch in channels:
             rep = lambda_lossy(spec, ch)
-            var = transmission_var_intensity(spec, ch)
-            assert var * rep.n_resource == pytest.approx(rep.lam, rel=1e-12)
-
-    def test_diff_saturation(self):
-        for ch in (ChannelConfig(T=0.4), ChannelConfig(T=0.7, T_p=0.9, eta_p=0.98, eta_a=0.95)):
-            spec = btmss(s=1.3)
-            rep = lambda_lossy(spec, ch)
-            var = transmission_var_diff(spec, ch)
+            var = transmission_var(spec, ch)
             assert var * rep.n_resource == pytest.approx(rep.lam, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "measure, spec",
+        "spec",
         [
-            (transmission_var_intensity, StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(10))),
-            (transmission_var_intensity, StateSpec(StateKind.FOCK, fock_n=3)),
-            (transmission_var_diff, btmss()),
+            StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(10)),
+            StateSpec(StateKind.FOCK, fock_n=3),
+            btmss(),
         ],
         ids=["coherent", "fock", "btmss"],
     )
-    def test_blind_detector_rejected(self, measure, spec):
+    def test_blind_detector_rejected(self, spec):
         with pytest.raises(ValueError):
-            measure(spec, ChannelConfig(T=0.5, eta_p=0.0))
-
-    def test_btmss_required_for_diff(self):
-        with pytest.raises(ValueError):
-            transmission_var_diff(
-                StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(10)),
-                ChannelConfig(T=0.5),
-            )
+            transmission_var(spec, ChannelConfig(T=0.5, eta_p=0.0))
 
     def test_doubly_seeded_off_phase_warns(self):
         spec = StateSpec(
@@ -103,7 +96,7 @@ class TestClosedForms:
             squeeze=SqueezeSpec(s=1.0, theta=0.3),
         )
         with pytest.warns(UserWarning):
-            transmission_var_diff(spec, ChannelConfig(T=0.5))
+            transmission_var(spec, ChannelConfig(T=0.5))
 
 
 class TestGainOptimization:
@@ -153,7 +146,7 @@ class TestGainOptimization:
         g = optimal_gain(m0, ch)
         slope = ch.T_p * ch.eta_p * m0.mean_p
         explicit = diff_variance(m0, ch, g) / slope**2
-        closed = transmission_var_diff(spec, ch)
+        closed = transmission_var(spec, ch)
         # the closed form uses the stimulated (not total) photon number;
         # at |alpha|^2 = 1e6 they agree to the spontaneous/stimulated ratio
         assert explicit == pytest.approx(closed, rel=1e-4)
@@ -163,7 +156,7 @@ class TestMonteCarlo:
     def test_deterministic_for_fixed_seed(self):
         spec = StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(200.0))
         ch = ChannelConfig(T=0.5)
-        plan = MeasurementPlan(Strategy.INTENSITY)
+        plan = MeasurementPlan()
         cfg = MCConfig(trials=5000, seed=42)
         a = mc_estimate(spec, ch, plan, cfg)
         b = mc_estimate(spec, ch, plan, cfg)
@@ -172,7 +165,7 @@ class TestMonteCarlo:
     def test_seed_changes_draws(self):
         spec = StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(200.0))
         ch = ChannelConfig(T=0.5)
-        plan = MeasurementPlan(Strategy.INTENSITY)
+        plan = MeasurementPlan()
         a = mc_estimate(spec, ch, plan, MCConfig(trials=5000, seed=1))
         b = mc_estimate(spec, ch, plan, MCConfig(trials=5000, seed=2))
         assert a.empirical_var_T != b.empirical_var_T
@@ -183,7 +176,7 @@ class TestMonteCarlo:
         res = mc_estimate(
             spec,
             ch,
-            MeasurementPlan(Strategy.INTENSITY),
+            MeasurementPlan(),
             MCConfig(trials=50000, seed=7, sampler=Sampler.EXACT),
         )
         assert abs(res.z_score) < 3.0
@@ -194,7 +187,7 @@ class TestMonteCarlo:
         res = mc_estimate(
             spec,
             ch,
-            MeasurementPlan(Strategy.INTENSITY),
+            MeasurementPlan(),
             MCConfig(trials=50000, seed=11, sampler=Sampler.EXACT),
         )
         assert abs(res.z_score) < 3.0
@@ -203,7 +196,7 @@ class TestMonteCarlo:
         res = mc_estimate(
             btmss(mag=2e3, s=1.0),
             ChannelConfig(T=0.55, T_p=0.95, eta_p=0.97, eta_a=0.96),
-            MeasurementPlan(Strategy.INTENSITY_DIFF),
+            MeasurementPlan(),
             MCConfig(trials=50000, seed=3),
         )
         assert abs(res.z_score) < 3.0
@@ -214,7 +207,7 @@ class TestMonteCarlo:
             mc_estimate(
                 spec,
                 ChannelConfig(T=0.5),
-                MeasurementPlan(Strategy.INTENSITY),
+                MeasurementPlan(),
                 MCConfig(trials=1000, seed=0),
             )
 
@@ -228,11 +221,16 @@ class TestMonteCarlo:
         spec = btmss(mag=2e3, s=1.2)
         ch = ChannelConfig(T=0.5, eta_a=0.95)
         cfg = MCConfig(trials=20000, seed=17)
-        opt = mc_estimate(spec, ch, MeasurementPlan(Strategy.INTENSITY_DIFF), cfg)
+        opt = mc_estimate(spec, ch, MeasurementPlan(), cfg)
         raw = mc_estimate(
-            spec, ch, MeasurementPlan(Strategy.INTENSITY_DIFF, gain=0.0), cfg
+            spec, ch, MeasurementPlan(gain=0.0), cfg
         )
         assert opt.empirical_var_T < raw.empirical_var_T
+
+    def test_gain_needs_an_auxiliary_mode(self):
+        spec = StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(200.0))
+        with pytest.raises(ValueError, match="bTMSS"):
+            mc_estimate(spec, ChannelConfig(T=0.5), MeasurementPlan(gain=7.0), MCConfig(trials=1000, seed=0))
 
 
 class TestExactSampler:
@@ -265,7 +263,7 @@ class TestExactSampler:
             mc_estimate(
                 spec,
                 ChannelConfig(T=0.5),
-                MeasurementPlan(Strategy.INTENSITY),
+                MeasurementPlan(),
                 MCConfig(trials=1000, seed=0, sampler=Sampler.EXACT),
             )
 
@@ -277,6 +275,6 @@ class TestExactSampler:
             mc_estimate(
                 spec,
                 ChannelConfig(T=0.5),
-                MeasurementPlan(Strategy.INTENSITY),
+                MeasurementPlan(),
                 MCConfig(trials=1000, seed=0),
             )

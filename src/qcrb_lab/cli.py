@@ -2,7 +2,8 @@
 
 Emits CSV (UTF-8, LF, header row) or JSON (array of records); numbers are
 serialized with 12 significant digits so identical configurations produce
-byte-identical output.
+byte-identical output.  A result that is not a finite number ends the
+command with exit 1 before anything is written.
 """
 
 import argparse
@@ -33,6 +34,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(v):
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"result {v} is not a finite number")
         return f"{v:.12g}"
     return str(v)
 
@@ -55,6 +58,7 @@ def write_records(records, columns, out, fmt):
         text = json.dumps(
             [{c: _json_value(rec[c]) for c in columns} for rec in records],
             indent=2,
+            allow_nan=False,  # inf and nan are not JSON: ValueError
         )
         text += "\n"
     if out is None:
@@ -165,7 +169,8 @@ def curve_rows(curves, grid):
     rows = []
     for curve_id, spec, channel in curves:
         resource_photons(spec, channel)  # raises where Lambda is undefined
-        lams = lambda_curve(spec, channel, grid).tolist()
+        with np.errstate(over="ignore"):  # an overflow to inf: write_records refuses it
+            lams = lambda_curve(spec, channel, grid).tolist()
         rows.extend(
             {
                 "curve_id": curve_id,

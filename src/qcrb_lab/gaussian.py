@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import linalg
 
 # Tolerance for symplectic / purity checks on well-conditioned 4x4 matrices.
 SYM_TOL = 1e-9
@@ -249,16 +248,32 @@ def apply_channel(state, ch):
     return _attenuate(state, channel_scaling(ch, state.modes))
 
 
+def symplectic_spectrum(S, S_dot=None):
+    """Positive eigenvalues of S = k.sigma, ascending; with S_dot also their derivatives.
+
+    The eigenvalues of k.sigma come in +/- pairs.  The derivative of a
+    simple eigenvalue is the diagonal of V^-1 S_dot V for the right
+    eigenvectors V: the rows of V^-1 are the left eigenvectors,
+    normalized against the right ones.
+    """
+    w, V = np.linalg.eig(S)
+    w = w.real
+    order = np.argsort(w)
+    pos = order[w[order] > 0]
+    if 2 * len(pos) != len(w):
+        raise ValueError("symplectic spectrum does not split into +/- pairs")
+    if S_dot is None:
+        return w[pos]
+    w_dot = np.diagonal(np.linalg.solve(V, S_dot @ V)).real
+    return w[pos], w_dot[pos]
+
+
 def symplectic_eigenvalues(state):
     """Positive symplectic spectrum of k.sigma, sorted ascending."""
     sigma = state.sigma
     if not np.allclose(sigma, sigma.conj().T, atol=1e-10):
         raise ValueError("covariance matrix is not Hermitian")
-    w = np.real(linalg.eigvals(k_matrix(state.modes) @ sigma))
-    pos = np.sort(w[w > 0])
-    if len(pos) != state.modes:
-        raise ValueError("symplectic spectrum does not split into +/- pairs")
-    return pos
+    return symplectic_spectrum(k_matrix(state.modes) @ sigma)
 
 
 def purity_det(state):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fock
 from .gaussian import StateKind
-from .qfi import big_theta, h_factor, resource_photons, source_moments
+from .qfi import big_theta, h_factor, require_amplitude_squeezing, resource_photons, source_moments
 
 # Gaussian-approximation sampling is only trusted at bright photon scales.
 BRIGHT_MEAN_MIN = 1e3
@@ -119,11 +119,13 @@ def transmission_var(spec, channel):
     """Error-propagated transmission variance of the probe's measurement.
 
     The measurement is strategy_for(spec).  Single-mode probes use the
-    source Fano factor (bright-limit value for the bSMSS); the bTMSS
-    closed form takes the derivative of the mean response at fixed gain.
-    A doubly seeded bTMSS away from cos(Theta) = -1 does not saturate
-    the bound; the value is still returned with a warning.
+    source Fano factor (bright-limit value for the bSMSS, which needs
+    amplitude squeezing); the bTMSS closed form takes the derivative of
+    the mean response at fixed gain.  A doubly seeded bTMSS away from
+    cos(Theta) = -1 does not saturate the bound; the value is still
+    returned with a warning.
     """
+    require_amplitude_squeezing(spec)
     T, T_p = channel.T, channel.T_p
     if spec.kind is StateKind.BTMSS:
         if spec.alpha.magnitude > 0 and spec.beta.magnitude > 0:
@@ -195,8 +197,8 @@ def mc_estimate(spec, channel, plan, cfg):
         raise ValueError("source photon moments overflow a double")
     t_probe = channel.probe_transmission
     slope = channel.T_p * channel.eta_p * m0.mean_p
-    if slope <= 0:
-        raise ValueError("vacuum probe: mean response is flat")
+    if not slope * slope > 0:  # the closed form divides by slope^2
+        raise ValueError("vacuum or near-vacuum probe: the mean response's square underflows to 0")
 
     if strategy is Strategy.INTENSITY_DIFF:
         g = plan.gain if plan.gain is not None else optimal_gain(m0, channel)
@@ -248,12 +250,14 @@ def mc_estimate(spec, channel, plan, cfg):
             def draw(rng, size):
                 return values[rng.choice(len(probs), size=size, p=probs)]
 
+    # sums of deviations from the true T: raw sums of T-hat would cancel
+    # every digit once var(T-hat) / T^2 nears the double's 1e-16
     total = 0.0
     total_sq = 0.0
     for rng, size in _block_rngs(cfg.seed, cfg.trials):
-        t_hat = (draw(rng, size) + offset) / slope
-        total += t_hat.sum()
-        total_sq += (t_hat * t_hat).sum()
+        dev = (draw(rng, size) + offset) / slope - channel.T
+        total += dev.sum()
+        total_sq += (dev * dev).sum()
     n = cfg.trials
     emp_var = (total_sq - total * total / n) / (n - 1)
     se = closed_var_T * math.sqrt(2.0 / (n - 1))

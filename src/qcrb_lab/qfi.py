@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy import linalg
 
 from .fock import binomial_pmf
 from .gaussian import (
@@ -27,6 +26,7 @@ from .gaussian import (
     k_matrix,
     make_source,
     photon_moments,
+    symplectic_spectrum,
 )
 
 log = logging.getLogger(__name__)
@@ -74,8 +74,21 @@ def big_theta(spec):
     if spec.kind is StateKind.BTMSS:
         return spec.squeeze.theta - spec.alpha.phase - spec.beta.phase
     if spec.kind is StateKind.BSMSS:
-        return spec.squeeze.theta + 2.0 * spec.alpha.phase
+        return spec.squeeze.theta - 2.0 * spec.alpha.phase
     return 0.0
+
+
+def require_amplitude_squeezing(spec):
+    """Raise unless the closed forms cover the probe's phase.
+
+    The bSMSS closed forms hold for amplitude squeezing, cos(Theta) = 1
+    (theta = 2 arg alpha); qfi_gaussian covers every phase.
+    """
+    if spec.kind is StateKind.BSMSS and math.cos(big_theta(spec)) < 1.0 - 1e-12:
+        raise ValueError(
+            "the bSMSS closed form needs amplitude squeezing, theta = 2 arg(alpha); "
+            f"theta - 2 arg(alpha) is {big_theta(spec):.6g} here"
+        )
 
 
 def stimulated_photons(spec):
@@ -163,19 +176,6 @@ class ParamFamily:
         return (4 * s2 - s1) / 3.0, (4 * d2 - d1) / 3.0
 
 
-def _symplectic_pairs(S, S_dot):
-    """Positive symplectic eigenvalues of S and their T-derivatives."""
-    w, vl, vr = linalg.eig(S, left=True, right=True)
-    order = [i for i in np.argsort(w.real) if w[i].real > 0]
-    lam, lam_dot = [], []
-    for i in order:
-        lam.append(float(w[i].real))
-        num = vl[:, i].conj() @ S_dot @ vr[:, i]
-        den = vl[:, i].conj() @ vr[:, i]
-        lam_dot.append(float((num / den).real))
-    return lam, lam_dot
-
-
 def qfi_gaussian(family, T, bright_limit=False):
     """QFI of a lossy Gaussian probe family at transmission T.
 
@@ -210,7 +210,7 @@ def qfi_gaussian(family, T, bright_limit=False):
         t2 = math.sqrt(float(np.real(np.linalg.det(S2)))) * float(
             np.real(np.trace(N @ N))
         )
-        lam, lam_dot = _symplectic_pairs(S, S_dot)
+        lam, lam_dot = (v.tolist() for v in symplectic_spectrum(S, S_dot))
         if all(abs(l - 1.0) < EPS_SING for l in lam):
             raise ValueError(
                 "both symplectic eigenvalues at 1 with varying sigma; the "
@@ -254,11 +254,13 @@ def lambda_curve(spec, channel, T):
 
     T (a float or an array) replaces channel.T; the losses come from
     channel and need eta_p > 0.  Bright-limit forms for the squeezed
-    kinds.  The factor order matches the scalar forms term by term, so
-    an array T gives bit for bit the values of a loop over its floats.
+    kinds, the bSMSS at amplitude squeezing.  The factor order matches
+    the scalar forms term by term, so an array T gives bit for bit the
+    values of a loop over its floats.
     """
     if not np.asarray((0.0 < T) & (T < 1.0)).all():
         raise ValueError("T must lie in (0, 1)")
+    require_amplitude_squeezing(spec)
     base = T / channel.eta_p
     if spec.kind is StateKind.COHERENT:
         return base

@@ -173,7 +173,7 @@ class TestSweepAndFigures:
 
     SWEEPS = {
         "coherent": {"state": "coherent", "alpha": 100.0, "Tp": 0.9, "eta_p": 0.95},
-        "bsmss": {"state": "bsmss", "alpha": 1e3, "s": 1.2, "theta": 1.0, "Tp": 0.85},
+        "bsmss": {"state": "bsmss", "alpha": 1e3, "s": 1.2, "Tp": 0.85},
         "btmss": {"state": "btmss", "alpha": 10.0, "beta": 5.0, "s": 0.7, "Tp": 0.9, "eta_p": 0.97, "eta_a": 0.8},
         "fock": {"state": "fock", "fock_n": 7, "Tp": 0.9, "eta_p": 0.95},
     }
@@ -222,6 +222,11 @@ class TestRejectedInputs:
             ("--state", "coherent", "--alpha", "1e200"),
             ("--state", "coherent", "--alpha", "10", "--s", "5", "--fock-n", "9"),
             ("--state", "fock", "--fock-n", "3", "--alpha", "5"),
+            ("--state", "bsmss", "--alpha", "1000", "--s", "1", "--theta", "1.5"),
+            ("--state", "coherent", "--alpha", "1e-160"),
+            ("--state", "coherent", "--alpha", "1e-160", "--format", "json"),
+            ("--state", "bsmss", "--alpha", "1e-160", "--s", "0"),
+            ("--state", "coherent", "--alpha", "10", "--eta-p", "1e-320"),
         ],
         ids=[
             "eta_p0-coherent",
@@ -235,6 +240,11 @@ class TestRejectedInputs:
             "photons-overflow",
             "coherent-unread-s-fock_n",
             "fock-unread-alpha",
+            "bsmss-off-amplitude-phase",
+            "subnormal-photons",
+            "subnormal-photons-json",
+            "subnormal-photons-bsmss",
+            "subnormal-eta_p",
         ],
     )
     def test_report_exits_1_with_error(self, capsys, argv):
@@ -250,8 +260,9 @@ class TestRejectedInputs:
             ("--state", "btmss", "--alpha", "0", "--s", "3", "--sampler", "exact"),
             ("--state", "coherent", "--alpha", "200", "--trials", str(MAX_TRIALS + 1)),
             ("--state", "coherent", "--alpha", "200", "--trials", "1000", "--gain", "7"),
+            ("--state", "coherent", "--alpha", "1e-100", "--sampler", "exact", "--trials", "100"),
         ],
-        ids=["moments-overflow", "exact-cap", "trials-cap", "gain-single-mode"],
+        ids=["moments-overflow", "exact-cap", "trials-cap", "gain-single-mode", "slope-squared-underflow"],
     )
     def test_mc_exits_1_with_error(self, capsys, argv):
         code, out, err = run_cli(capsys, "mc", *argv, "--T", "0.5")
@@ -268,8 +279,21 @@ class TestRejectedInputs:
             ("--state", "coherent", "--alpha", "100", "--Tp", "1.5"),
             ("--state", "bsmss", "--alpha", "100", "--s", "1", "--beta", "3"),
             ("--state", "fock", "--fock-n", "2", "--grid", "T=0.5:0.5000000000000001:3"),
+            ("--state", "bsmss", "--alpha", "1000", "--s", "1", "--theta", "1.5"),
+            ("--state", "coherent", "--alpha", "10", "--eta-p", "1e-320", "--grid", "T=0.1:0.9:3"),
+            ("--state", "coherent", "--alpha", "10", "--eta-p", "1e-320", "--grid", "T=0.1:0.9:3", "--format", "json"),
         ],
-        ids=["eta_p0-coherent", "eta_p0-btmss", "no-photons", "Tp-range", "bsmss-unread-beta", "repeated-points"],
+        ids=[
+            "eta_p0-coherent",
+            "eta_p0-btmss",
+            "no-photons",
+            "Tp-range",
+            "bsmss-unread-beta",
+            "repeated-points",
+            "bsmss-off-amplitude-phase",
+            "subnormal-eta_p",
+            "subnormal-eta_p-json",
+        ],
     )
     def test_sweep_exits_1_with_error(self, capsys, argv):
         code, out, err = run_cli(capsys, "sweep", *argv)

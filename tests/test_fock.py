@@ -275,7 +275,12 @@ class TestBinomial:
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
         )
-        code = "import sys, qcrb_lab.cli; sys.exit('scipy.stats' in sys.modules)"
+        # no scipy module at all: the library runs on numpy alone
+        code = (
+            "import sys, qcrb_lab.cli; "
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "sys.exit('loaded ' + ', '.join(loaded) if loaded else 0)"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )

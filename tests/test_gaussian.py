@@ -14,6 +14,7 @@ from qcrb_lab.gaussian import (
     apply_channel,
     apply_loss,
     check_state,
+    k_matrix,
     make_bsmss,
     make_btmss,
     make_coherent,
@@ -21,7 +22,9 @@ from qcrb_lab.gaussian import (
     photon_moments,
     purity_det,
     symplectic_eigenvalues,
+    symplectic_spectrum,
 )
+from qcrb_lab.qfi import ParamFamily
 
 SINH2_1 = 1.3810978455418157  # sinh(1)^2
 
@@ -249,6 +252,40 @@ class TestSymplectic:
 
         with pytest.raises(ValueError):
             symplectic_eigenvalues(GaussianState(d=st.d, sigma=bad))
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            ChannelConfig(T=0.3, T_p=0.8, eta_p=0.7, eta_a=0.6),
+            ChannelConfig(T=0.85, eta_a=0.95),
+            ChannelConfig(T=0.5, T_p=0.9, eta_p=0.98, eta_a=0.0),
+        ],
+    )
+    def test_spectrum_and_derivative_match_scipy(self, channel):
+        # scipy's left and right eigenvectors give the first-order shift of each eigenvalue
+        from scipy import linalg
+
+        spec = StateSpec(
+            StateKind.BTMSS,
+            alpha=ComplexAmplitude(2.0, 0.4),
+            beta=ComplexAmplitude(1.5, -1.1),
+            squeeze=SqueezeSpec(s=0.9, theta=2.0),
+        )
+        family = ParamFamily(spec, channel)
+        k = k_matrix(2)
+        S = k @ family.state_at(channel.T).sigma
+        S_dot = k @ family.derivatives_at(channel.T)[0]
+        lam, lam_dot = symplectic_spectrum(S, S_dot)
+        w, vl, vr = linalg.eig(S, left=True, right=True)
+        pos = [i for i in np.argsort(w.real) if w[i].real > 0]
+        want_dot = [(vl[:, i].conj() @ S_dot @ vr[:, i] / (vl[:, i].conj() @ vr[:, i])).real for i in pos]
+        assert np.allclose(lam, w.real[pos], rtol=1e-13)
+        assert np.allclose(lam_dot, want_dot, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(symplectic_spectrum(S), lam)
+
+    def test_spectrum_without_pairs_rejected(self):
+        with pytest.raises(ValueError, match="pairs"):
+            symplectic_spectrum(np.eye(4))
 
 
 class TestMoments:

@@ -88,6 +88,11 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             transmission_var(spec, ChannelConfig(T=0.5, eta_p=0.0))
 
+    def test_bsmss_off_amplitude_phase_rejected(self):
+        spec = StateSpec(StateKind.BSMSS, alpha=ComplexAmplitude(1e3, 0.3), squeeze=SqueezeSpec(s=1.0, theta=-0.6))
+        with pytest.raises(ValueError, match="amplitude squeezing"):
+            transmission_var(spec, ChannelConfig(T=0.5))
+
     def test_doubly_seeded_off_phase_warns(self):
         spec = StateSpec(
             StateKind.BTMSS,
@@ -199,6 +204,19 @@ class TestMonteCarlo:
             MeasurementPlan(),
             MCConfig(trials=50000, seed=3),
         )
+        assert abs(res.z_score) < 3.0
+
+    def test_variance_of_a_very_bright_probe(self):
+        # var(T-hat) / T^2 = 2e-18: raw sums of T-hat cancel every digit of it
+        spec = StateSpec(StateKind.BSMSS, alpha=ComplexAmplitude(1e9))
+        res = mc_estimate(spec, ChannelConfig(T=0.5), MeasurementPlan(), MCConfig(trials=1000, seed=0))
+        assert res.empirical_var_T > 0.0
+        assert abs(res.z_score) < 3.0
+
+    def test_samples_a_bsmss_at_any_phase(self):
+        # the closed form rests on the exact source moments, not on amplitude squeezing
+        spec = StateSpec(StateKind.BSMSS, alpha=ComplexAmplitude(1e3), squeeze=SqueezeSpec(s=1.0, theta=1.5))
+        res = mc_estimate(spec, ChannelConfig(T=0.5), MeasurementPlan(), MCConfig(trials=20000, seed=5))
         assert abs(res.z_score) < 3.0
 
     def test_gaussian_sampler_rejects_dim_probe(self):

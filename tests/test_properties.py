@@ -1,4 +1,5 @@
-"""Property-based tests of the closed forms over random valid probes and channels.
+"""Property-based tests of the closed forms, the general Gaussian QFI and the
+symplectic spectrum over random valid probes and channels.
 
 Hypothesis runs derandomized and without an example database, so the
 suite draws the same examples on every run and keeps no failures from
@@ -8,12 +9,22 @@ earlier runs (only its constants cache under .hypothesis/ is written).
 import math
 from dataclasses import replace
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qcrb_lab.gaussian import ChannelConfig, ComplexAmplitude, SqueezeSpec, StateKind, StateSpec
+from qcrb_lab.gaussian import (
+    ChannelConfig,
+    ComplexAmplitude,
+    SqueezeSpec,
+    StateKind,
+    StateSpec,
+    k_matrix,
+    symplectic_eigenvalues,
+    symplectic_spectrum,
+)
 from qcrb_lab.measurement import transmission_var
-from qcrb_lab.qfi import lambda_lossy
+from qcrb_lab.qfi import ParamFamily, lambda_lossy, qfi_btmss_full, qfi_gaussian
 
 PROPERTY = settings(database=None, derandomize=True, max_examples=300, deadline=None)
 
@@ -32,8 +43,12 @@ def specs(draw, kinds=tuple(StateKind)):
     alpha = ComplexAmplitude(draw(st.floats(1.0, 1e4)), draw(phases))
     if kind is StateKind.COHERENT:
         return StateSpec(kind, alpha=alpha)
+    s = draw(st.floats(0.0, 3.0))
+    if kind is StateKind.BSMSS:
+        # the closed forms hold for amplitude squeezing, theta = 2 arg(alpha)
+        return StateSpec(kind, alpha=alpha, squeeze=SqueezeSpec(s=s, theta=2.0 * alpha.phase))
     # single-seeded bTMSS only: a doubly seeded one off cos(Theta) = -1 warns
-    return StateSpec(kind, alpha=alpha, squeeze=SqueezeSpec(s=draw(st.floats(0.0, 3.0)), theta=draw(phases)))
+    return StateSpec(kind, alpha=alpha, squeeze=SqueezeSpec(s=s, theta=draw(phases)))
 
 
 @st.composite
@@ -73,3 +88,43 @@ def test_lambda_does_not_increase_with_eta_p(spec, channel, a, b):
 def test_btmss_lambda_does_not_increase_with_eta_a(spec, channel, a, b):
     lo, hi = sorted((a, b))
     assert _lam(spec, channel, eta_a=hi) <= _lam(spec, channel, eta_a=lo) * (1 + 1e-12)
+
+
+@PROPERTY
+@given(specs(kinds=(StateKind.COHERENT, StateKind.BSMSS, StateKind.BTMSS)), channels())
+def test_closed_form_equals_the_bright_limit_gaussian_qfi(spec, channel):
+    gauss = qfi_gaussian(ParamFamily(spec, channel), channel.T, bright_limit=True).lam
+    assert math.isclose(lambda_lossy(spec, channel).lam, gauss, rel_tol=1e-9)
+
+
+@PROPERTY
+@given(
+    st.floats(1.0, 100.0), st.floats(0.0, 100.0), phases, phases, phases,
+    st.floats(0.3, 2.0), st.floats(0.01, 0.99),
+)
+def test_full_gaussian_qfi_equals_the_exact_lossless_btmss_qfi(a, b, phase_a, phase_b, theta, s, T):
+    spec = StateSpec(
+        StateKind.BTMSS,
+        alpha=ComplexAmplitude(a, phase_a),
+        beta=ComplexAmplitude(b, phase_b),
+        squeeze=SqueezeSpec(s=s, theta=theta),
+    )
+    exact = qfi_btmss_full(spec.alpha, spec.beta, spec.squeeze, T)
+    got = qfi_gaussian(ParamFamily(spec, ChannelConfig(T=T)), T).qfi
+    assert math.isclose(got, exact, rel_tol=1e-8)
+
+
+@PROPERTY
+@given(specs(kinds=(StateKind.BTMSS,)), channels(), st.floats(0.05, 0.95), st.floats(0.0, 0.99))
+def test_spectrum_derivative_equals_a_central_difference(spec, channel, T, eta_a):
+    channel = replace(channel, T=T, eta_a=eta_a)
+    # the two eigenvalues cross where probe and auxiliary see equal transmissions
+    assume(abs(channel.probe_transmission - eta_a) > 1e-3)
+    family = ParamFamily(spec, channel)
+    k = k_matrix(2)
+    sigma_dot, _ = family.derivatives_at(T)
+    lam, lam_dot = symplectic_spectrum(k @ family.state_at(T).sigma, k @ sigma_dot)
+    h = 1e-5
+    fd = (symplectic_eigenvalues(family.state_at(T + h)) - symplectic_eigenvalues(family.state_at(T - h))) / (2 * h)
+    # the difference carries a rounding error of about eps * lam / h
+    assert np.allclose(lam_dot, fd, rtol=1e-6, atol=1e3 * np.finfo(float).eps * lam.max() / h)

@@ -228,7 +228,28 @@ class TestGaussianGeneral:
             alpha=ComplexAmplitude(1.0, 0.2),
             squeeze=SqueezeSpec(s=1.0, theta=1.0),
         )
-        assert big_theta(smss) == pytest.approx(1.0 + 0.4)
+        assert big_theta(smss) == pytest.approx(1.0 - 0.4)
+
+    @pytest.mark.parametrize("phase", [0.3, -1.1, 2.0])
+    def test_bsmss_closed_form_holds_at_theta_twice_the_seed_phase(self, phase):
+        # the Gaussian QFI covers every phase; Theta = theta - 2 arg(alpha) = 0
+        # gives the closed form, theta = -2 arg(alpha) does not
+        ch = ChannelConfig(T=0.5, T_p=0.9, eta_p=0.95)
+
+        def spec(theta):
+            return StateSpec(
+                StateKind.BSMSS,
+                alpha=ComplexAmplitude(1e3, phase),
+                squeeze=SqueezeSpec(s=1.0, theta=theta),
+            )
+
+        amplitude = spec(2.0 * phase)
+        gauss = qfi_gaussian(ParamFamily(amplitude, ch), ch.T, bright_limit=True).lam
+        assert gauss == pytest.approx(lambda_lossy(amplitude, ch).lam, rel=1e-12)
+        off = spec(-2.0 * phase)
+        assert qfi_gaussian(ParamFamily(off, ch), ch.T, bright_limit=True).lam > 1.5 * gauss
+        with pytest.raises(ValueError, match="amplitude squeezing"):
+            lambda_lossy(off, ch)
 
 
 class TestSymplecticClosedForm:

@@ -1,9 +1,11 @@
 """Command-line front end: reports, sweeps, figure data, Monte Carlo, validation.
 
-Emits CSV (UTF-8, LF, header row) or JSON (array of records); numbers are
-serialized with 12 significant digits so identical configurations produce
-byte-identical output.  A result that is not a finite number ends the
-command with exit 1 before anything is written.
+Emits CSV (UTF-8, LF, header row) or JSON (array of records), so that
+identical configurations produce byte-identical output.  CSV prints a
+float with 12 significant digits (`.12g`); JSON prints the shortest repr
+of the double rounded to 12 significant digits, so JSON shows 1.0 where
+CSV shows 1.  A result that is not a finite number ends the command with
+exit 1 before anything is written.
 """
 
 import argparse
@@ -32,35 +34,65 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ValueError(f"result {v} is not a finite number")
-        return f"{v:.12g}"
-    return str(v)
-
-
-def _json_value(v):
-    if isinstance(v, float):
-        return float(f"{v:.12g}")
+def _finite(v):
+    if not math.isfinite(v):
+        raise ValueError(f"result {v} is not a finite number")
     return v
 
 
+def _csv_cell(v):
+    if isinstance(v, float):
+        return f"{_finite(v):.12g}"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((str(v), ""))  # a lone empty field would be quoted
+    return buf.getvalue()[:-2]
+
+
+def _json_cell(v):
+    if isinstance(v, float):
+        return repr(float(f"{_finite(v):.12g}"))  # what json.dumps prints for the rounded double
+    return json.dumps(v)
+
+
+def _column_texts(values, cell):
+    """cell(v) for each value, computed once per distinct value.
+
+    The memo keys on the class too, since True, 1 and 1.0 are equal keys
+    that print differently.  A float zero is never stored, since 0.0 and
+    -0.0 are equal keys too.
+    """
+    memo = {}
+    texts = []
+    for v in values:
+        key = (v.__class__, v)
+        text = memo.get(key)
+        if text is None:
+            text = cell(v)
+            if v or not isinstance(v, float):
+                memo[key] = text
+        texts.append(text)
+    return texts
+
+
 def write_records(records, columns, out, fmt):
+    """Write the records as CSV or JSON to out, or to stdout when out is None.
+
+    columns names two or more distinct keys of every record.  Each
+    column's distinct values are formatted once, and the whole text is
+    built before out is opened, so a refused value writes nothing.
+    """
+    cols = [_column_texts([rec[c] for rec in records], _csv_cell if fmt == "csv" else _json_cell) for c in columns]
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for rec in records:
-            writer.writerow([_fmt(rec[c]) for c in columns])
-        text = buf.getvalue()
+        csv.writer(buf, lineterminator="\n").writerow(columns)
+        line = ",".join(["%s"] * len(columns)) + "\n"
+        text = buf.getvalue() + "".join([line % row for row in zip(*cols)])
+    elif records:
+        keys = [json.dumps(c).replace("%", "%%") for c in columns]  # % would open a template field
+        record = "  {\n" + ",\n".join([f"    {k}: %s" for k in keys]) + "\n  }"
+        text = "[\n" + ",\n".join([record % row for row in zip(*cols)]) + "\n]\n"
     else:
-        text = json.dumps(
-            [{c: _json_value(rec[c]) for c in columns} for rec in records],
-            indent=2,
-            allow_nan=False,  # inf and nan are not JSON: ValueError
-        )
-        text += "\n"
+        text = "[]\n"
     if out is None:
         sys.stdout.write(text)
     else:

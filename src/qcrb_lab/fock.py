@@ -61,7 +61,7 @@ def _check_tail(coeffs, n_max):
         tail = probs[n_max - 1 :].sum()
     else:
         tail = probs[n_max - 1 :, :].sum() + probs[: n_max - 1, n_max - 1 :].sum()
-    if tail > TAIL_TOL:
+    if not tail <= TAIL_TOL:  # nan: the expansion overflowed
         raise TruncationError(
             f"tail mass {tail:.3e} above {TAIL_TOL:.0e}; increase n_max"
         )
@@ -113,23 +113,25 @@ def build_fock_state(spec, n_max):
         c = np.zeros(n_max + 1, dtype=complex)
         c[spec.fock_n] = 1.0
         return FockVector(coeffs=c, n_max=n_max)
-    if spec.kind is StateKind.COHERENT:
-        c = _coherent_coeffs(spec.alpha.value, n_max)
-    elif spec.kind is StateKind.BSMSS:
-        c = _smss_coeffs(spec.alpha.value, spec.squeeze.s, spec.squeeze.theta, n_max)
-    elif spec.kind is StateKind.BTMSS:
-        c = _btmss_coeffs(
-            spec.alpha.value,
-            spec.beta.value,
-            spec.squeeze.s,
-            spec.squeeze.theta,
-            n_max,
-        )
-    else:
-        raise ValueError(f"unsupported state kind {spec.kind}")
-    norm = np.linalg.norm(c)
-    if abs(norm - 1.0) > 1e-6:
-        c = c / norm
+    # a state too wide for n_max may overflow its expansion to inf and nan; _check_tail refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind is StateKind.COHERENT:
+            c = _coherent_coeffs(spec.alpha.value, n_max)
+        elif spec.kind is StateKind.BSMSS:
+            c = _smss_coeffs(spec.alpha.value, spec.squeeze.s, spec.squeeze.theta, n_max)
+        elif spec.kind is StateKind.BTMSS:
+            c = _btmss_coeffs(
+                spec.alpha.value,
+                spec.beta.value,
+                spec.squeeze.s,
+                spec.squeeze.theta,
+                n_max,
+            )
+        else:
+            raise ValueError(f"unsupported state kind {spec.kind}")
+        norm = np.linalg.norm(c)
+        if abs(norm - 1.0) > 1e-6:
+            c = c / norm
     _check_tail(c, n_max)
     return FockVector(coeffs=c, n_max=n_max)
 

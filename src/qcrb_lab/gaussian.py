@@ -12,6 +12,7 @@ identity.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -90,8 +91,9 @@ class StateSpec:
     fock_n: int = 0
 
     def __post_init__(self):
-        if self.kind is StateKind.FOCK and self.fock_n < 0:
-            raise ValueError("fock_n must be a nonnegative integer")
+        # photon counts are doubles downstream; a larger int overflows the conversion
+        if self.kind is StateKind.FOCK and not 0 <= self.fock_n <= sys.float_info.max:
+            raise ValueError("fock_n must be a nonnegative integer no larger than the largest double")
 
 
 @dataclass(frozen=True)

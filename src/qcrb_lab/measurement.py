@@ -126,6 +126,10 @@ def transmission_var(spec, channel):
     returned with a warning.
     """
     require_amplitude_squeezing(spec)
+    n_r = resource_photons(spec, channel)
+    detected = channel.eta_p * n_r
+    if not detected > 0:  # both forms divide by it
+        raise ValueError("no probe photons reach the detector: eta_p * n_r underflows to 0")
     T, T_p = channel.T, channel.T_p
     if spec.kind is StateKind.BTMSS:
         if spec.alpha.magnitude > 0 and spec.beta.magnitude > 0:
@@ -136,12 +140,10 @@ def transmission_var(spec, channel):
                     stacklevel=2,
                 )
         s = spec.squeeze.s
-        n_r = resource_photons(spec, channel)
-        return T / (channel.eta_p * n_r) - (T * T * T_p / n_r) * h_factor(
+        return T / detected - (T * T * T_p / n_r) * h_factor(
             s, channel.eta_a
         ) * (1.0 - 1.0 / math.cosh(2.0 * s))
-    n_r = resource_photons(spec, channel)
-    return T / (channel.eta_p * n_r) - (T * T * T_p / n_r) * (1.0 - _FANO[spec.kind](spec))
+    return T / detected - (T * T * T_p / n_r) * (1.0 - _FANO[spec.kind](spec))
 
 
 def _block_rngs(seed, trials):
@@ -196,9 +198,11 @@ def mc_estimate(spec, channel, plan, cfg):
     if not all(map(math.isfinite, astuple(m0))):
         raise ValueError("source photon moments overflow a double")
     t_probe = channel.probe_transmission
-    slope = channel.T_p * channel.eta_p * m0.mean_p
+    slope = float(channel.T_p * channel.eta_p * m0.mean_p)  # a float's square overflows to inf, silently
     if not slope * slope > 0:  # the closed form divides by slope^2
         raise ValueError("vacuum or near-vacuum probe: the mean response's square underflows to 0")
+    if slope * slope == math.inf:
+        raise ValueError("probe too bright: the mean response's square overflows a double")
 
     if strategy is Strategy.INTENSITY_DIFF:
         g = plan.gain if plan.gain is not None else optimal_gain(m0, channel)
@@ -209,6 +213,9 @@ def mc_estimate(spec, channel, plan, cfg):
         _, closed_var_n = intensity_stats(m0, t_probe)
         offset = 0.0
     closed_var_T = closed_var_n / slope**2
+    se = closed_var_T * math.sqrt(2.0 / (cfg.trials - 1))
+    if not se > 0:  # a noiseless count (T = 0 or 1) or an underflow
+        raise ValueError("the closed-form variance is 0: the z-score is undefined")
 
     if cfg.sampler is Sampler.GAUSSIAN_APPROX:
         if t_probe * m0.mean_p < BRIGHT_MEAN_MIN:
@@ -260,7 +267,6 @@ def mc_estimate(spec, channel, plan, cfg):
         total_sq += (dev * dev).sum()
     n = cfg.trials
     emp_var = (total_sq - total * total / n) / (n - 1)
-    se = closed_var_T * math.sqrt(2.0 / (n - 1))
     return MCResult(
         empirical_var_T=emp_var,
         closed_form_var_T=closed_var_T,

@@ -93,7 +93,8 @@ def require_amplitude_squeezing(spec):
 
 def stimulated_photons(spec):
     """Mean photon number of the bright (displacement) part of the probe."""
-    amp = float(abs(make_source(spec).d[0]))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing amplitude: resource_photons refuses it
+        amp = float(abs(make_source(spec).d[0]))
     return amp * amp  # a float product overflows to inf without a warning
 
 
@@ -121,10 +122,10 @@ def resource_photons(spec, channel, bright=True):
     else:
         n = float(source_moments(spec).mean_p)
     n_r = channel.T_p * n
+    if not math.isfinite(n_r):  # first: an overflow may have left nan
+        raise ValueError("probe photon number overflows a double")
     if not n_r > 0:
         raise ValueError("probe carries no photons at the system input")
-    if not math.isfinite(n_r):
-        raise ValueError("probe photon number overflows a double")
     if channel.eta_p == 0:
         raise ValueError("eta_p = 0: no probe photons reach the detector")
     return n_r

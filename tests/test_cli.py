@@ -1,23 +1,123 @@
 """Tests for the command-line front end."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcrb_lab import cli, validate
-from qcrb_lab.gaussian import ChannelConfig, StateKind
+from qcrb_lab.gaussian import S_MAX, ChannelConfig, StateKind
 from qcrb_lab.measurement import MAX_TRIALS
 from qcrb_lab.qfi import lambda_lossy
+
+# derandomized and without an example database, as in test_properties.py
+PROPERTY = settings(database=None, derandomize=True, deadline=None)
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reference_cell(v):
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"result {v} is not a finite number")
+        return f"{v:.12g}"
+    return str(v)
+
+
+def reference_records_text(records, columns, fmt):
+    """The two-pass writer that cli.write_records replaced: csv.writer over
+    one formatted cell at a time, json.dumps over floats rounded to 12
+    significant digits."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for rec in records:
+            writer.writerow([_reference_cell(rec[c]) for c in columns])
+        return buf.getvalue()
+    rounded = [
+        {c: float(f"{rec[c]:.12g}") if isinstance(rec[c], float) else rec[c] for c in columns} for rec in records
+    ]
+    return json.dumps(rounded, indent=2, allow_nan=False) + "\n"
+
+
+def records_text(records, columns, fmt):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli.write_records(records, columns, None, fmt)
+    return buf.getvalue()
+
+
+# values that compare equal yet print differently, and the edges of .12g
+EDGE_VALUES = [
+    0.0, -0.0, 0, False, True, 1, 1.0, -1.0, np.float64(-0.0), np.float64(1.0),
+    5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308,
+    999999999999.5, 1e12, 1e15 + 0.5, 9.999999999995e15,
+]
+record_values = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(1e12, 1e16, exclude_max=True),  # .12g prints an exponent where repr does not
+    st.floats(-1e16, -1e12, exclude_min=True),
+    st.integers(-(2**60), 2**60).map(float),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.text(st.sampled_from(',"\n\r% aé日')),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def record_sets(draw):
+    """Records over 2-5 distinct columns, each value drawn from a small pool so
+    that columns repeat values as curve rows do."""
+    columns = draw(st.lists(st.text(max_size=4), min_size=2, max_size=5, unique=True))
+    pool = draw(st.lists(record_values, min_size=1, max_size=8))
+    n = draw(st.integers(0, 12))
+    return [{c: draw(st.sampled_from(pool)) for c in columns} for _ in range(n)], columns
+
+
+class TestWriteRecords:
+    @settings(PROPERTY, max_examples=300)
+    @given(record_sets(), st.sampled_from(["csv", "json"]))
+    def test_equals_the_two_pass_writer(self, record_set, fmt):
+        records, columns = record_set
+        assert records_text(records, columns, fmt) == reference_records_text(records, columns, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_equal_values_of_other_class_or_sign_print_apart(self, fmt):
+        values = [0.0, -0.0, 0, False, np.float64(-0.0), 1.0, 1, True, np.float64(1.0), 0.0, -0.0, True, 1]
+        records = [{"v": v, "w": -v} for v in values]
+        assert records_text(records, ["v", "w"], fmt) == reference_records_text(records, ["v", "w"], fmt)
+
+    def test_figure_rows_equal_the_two_pass_writer(self):
+        rows = cli.figure3_rows(cli.parse_grid("T=0.001:0.999:99"))
+        for fmt in ("csv", "json"):
+            assert records_text(rows, cli.FIGURE_COLUMNS, fmt) == reference_records_text(rows, cli.FIGURE_COLUMNS, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64("nan")], ids=["inf", "-inf", "nan", "np-nan"])
+    def test_a_non_finite_value_writes_nothing(self, capsys, tmp_path, fmt, bad):
+        records = [{"a": 0.5, "b": "x"}, {"a": bad, "b": "y"}, {"a": bad, "b": "z"}]
+        target = tmp_path / "out.txt"
+        for out in (None, str(target)):
+            with pytest.raises(ValueError, match="is not a finite number"):
+                cli.write_records(records, ["a", "b"], out, fmt)
+        assert capsys.readouterr().out == ""
+        assert not target.exists()
 
 
 class TestGridParsing:
@@ -227,6 +327,9 @@ class TestRejectedInputs:
             ("--state", "coherent", "--alpha", "1e-160", "--format", "json"),
             ("--state", "bsmss", "--alpha", "1e-160", "--s", "0"),
             ("--state", "coherent", "--alpha", "10", "--eta-p", "1e-320"),
+            ("--state", "coherent", "--alpha", "1e-160", "--eta-p", "5e-324"),
+            ("--state", "fock", "--fock-n", str(10**400)),
+            ("--state", "btmss", "--beta", "1e155", "--s", "355"),
         ],
         ids=[
             "eta_p0-coherent",
@@ -245,6 +348,9 @@ class TestRejectedInputs:
             "subnormal-photons-json",
             "subnormal-photons-bsmss",
             "subnormal-eta_p",
+            "detected-photons-underflow",
+            "fock_n-beyond-double",
+            "amplitude-overflow",
         ],
     )
     def test_report_exits_1_with_error(self, capsys, argv):
@@ -261,11 +367,15 @@ class TestRejectedInputs:
             ("--state", "coherent", "--alpha", "200", "--trials", str(MAX_TRIALS + 1)),
             ("--state", "coherent", "--alpha", "200", "--trials", "1000", "--gain", "7"),
             ("--state", "coherent", "--alpha", "1e-100", "--sampler", "exact", "--trials", "100"),
+            ("--state", "coherent", "--alpha", "1.2e77"),
+            ("--state", "fock", "--fock-n", "10", "--T", "1", "--sampler", "exact"),
+            ("--state", "bsmss", "--alpha", "355", "--sampler", "exact"),
         ],
-        ids=["moments-overflow", "exact-cap", "trials-cap", "gain-single-mode", "slope-squared-underflow"],
+        ids=["moments-overflow", "exact-cap", "trials-cap", "gain-single-mode", "slope-squared-underflow",
+             "slope-squared-overflow", "noiseless-count", "fock-expansion-overflow"],
     )
     def test_mc_exits_1_with_error(self, capsys, argv):
-        code, out, err = run_cli(capsys, "mc", *argv, "--T", "0.5")
+        code, out, err = run_cli(capsys, "mc", "--T", "0.5", *argv)
         assert code == 1
         assert out == ""
         assert any(line.startswith("error: ") for line in err.splitlines())
@@ -473,3 +583,102 @@ class TestSpecDefaults:
     def test_unknown_state_rejected(self):
         with pytest.raises(cli.UsageError):
             cli.build_spec({"state": "thermal"})
+
+
+# floats at the edges of what the probes, losses and grids accept
+EXTREME_FLOATS = [
+    "0", "-0", "5e-324", "1e-320", "2.2250738585072014e-308", "1e-300", "1e-160", "1e-8",
+    "0.5", "1", "-1", "3.141592653589793", "1e8", "1e300", "-1e300", "1.7976931348623157e308",
+    "inf", "-inf", "nan", repr(S_MAX), repr(math.nextafter(S_MAX, math.inf)), repr(math.nextafter(S_MAX, 0.0)),
+]
+# per flag: values it accepts, then values anywhere
+SANE_ARGS = {
+    "alpha": st.floats(1.0, 1e4).map(repr),
+    "beta": st.floats(0.0, 1e4).map(repr),
+    "s": st.floats(0.0, 3.0).map(repr),
+    "theta": st.floats(-math.pi, math.pi).map(repr),
+    "gain": st.floats(-10.0, 10.0).map(repr),
+    "T": st.floats(1e-3, 0.999).map(repr),
+    **{f: st.floats(0.05, 1.0).map(repr) for f in ("Tp", "eta-p", "eta-a")},
+    "fock-n": st.integers(0, 50),
+    "trials": st.integers(100, 10**4),
+    "seed": st.integers(0, 100),
+    "grid": st.builds("T={!r}:{!r}:{}".format, st.floats(1e-3, 0.4), st.floats(0.6, 0.999), st.integers(2, 50)),
+}
+float_args = st.one_of(st.sampled_from(EXTREME_FLOATS), st.floats().map(repr))
+WILD_ARGS = {
+    **{f: float_args for f, spec in cli.FLAGS.items() if spec.get("type") is float},
+    "fock-n": st.one_of(st.integers(-2, 1000), st.sampled_from([10**6, 2**53 + 1, 10**20, 10**400])),
+    "trials": st.integers(-1, 10**4),
+    "seed": st.one_of(st.integers(-1, 100), st.just(2**70)),
+    "grid": st.builds("T={}:{}:{}".format, float_args, float_args, st.integers(-1, 50)),
+}
+PROBE_FLAGS = {"state", *(key.replace("_", "-") for keys in cli.PROBE_KEYS.values() for key in keys)}
+
+
+def flag_args(flag, wild):
+    spec = cli.FLAGS[flag]
+    if "choices" in spec:
+        return st.sampled_from(spec["choices"])
+    if flag == "out":
+        return st.just("{out}")
+    return st.one_of(SANE_ARGS[flag], WILD_ARGS[flag]) if wild else SANE_ARGS[flag]
+
+
+@st.composite
+def cli_argvs(draw):
+    """A command other than validate with some of its flags, as --flag=value
+    so that a value like -1e300 is not read as a flag.
+
+    The state, T and grid come in whenever the command reads them, and
+    mostly the probe flags that the state reads.  Half the draws take every
+    value from the range its flag accepts, so that they reach the numbers;
+    the others take edge values and any double too.  Config files are
+    covered by TestRejectedInputs."""
+    command = draw(st.sampled_from([c for c in cli.COMMANDS if c != "validate"]))
+    wild = draw(st.booleans())
+    accepted = [f for f in cli.COMMANDS[command] if f != "config"]
+    flags = [f for f in ("T", "grid") if f in accepted]
+    if "state" in accepted:
+        state = draw(st.sampled_from(list(StateKind)))
+        flags.append(f"--state={state.value}")
+        probe = [key.replace("_", "-") for key in cli.PROBE_KEYS[state]]
+        flags += [f for f in probe if draw(st.integers(0, 3))]  # each left out a quarter of the time
+    others = [f for f in accepted if f not in PROBE_FLAGS and f not in flags]
+    flags += draw(st.lists(st.sampled_from(others), unique=True, max_size=4))
+    return [command, *(f if f.startswith("--") else f"--{f}={draw(flag_args(f, wild))}" for f in flags)]
+
+
+def printed_numbers(text, fmt):
+    if fmt == "json":
+        records = json.loads(text, parse_constant=float)  # Infinity and NaN come back as floats
+        return [v for rec in records for v in rec.values() if isinstance(v, (int, float))]
+    numbers = []
+    for row in csv.reader(io.StringIO(text)):
+        for cell in row:
+            with contextlib.suppress(ValueError):
+                numbers.append(float(cell))
+    return numbers
+
+
+class TestFuzzMain:
+    @pytest.mark.filterwarnings("ignore:doubly seeded bTMSS")  # transmission_var's documented warning
+    @settings(PROPERTY, max_examples=400)
+    @given(cli_argvs())
+    def test_finite_numbers_or_exit_1(self, argv):
+        """No exception escapes; exit 0 prints only finite numbers, exit 1
+        an error line and nothing else."""
+        with tempfile.TemporaryDirectory() as tmp:
+            target = Path(tmp) / "out.txt"
+            argv = [a.format(out=target) for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 1, 2)
+            written = target.read_text(encoding="utf-8") if target.exists() else out.getvalue()
+            if code == 1:
+                assert out.getvalue() == "" and not target.exists()
+                assert err.getvalue().startswith("error: ")
+            if code == 0:
+                fmt = ([a.split("=", 1)[1] for a in argv if a.startswith("--format=")] or ["csv"])[-1]
+                assert all(map(math.isfinite, printed_numbers(written, fmt))), written

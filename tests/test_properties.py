@@ -24,7 +24,7 @@ from qcrb_lab.gaussian import (
     symplectic_spectrum,
 )
 from qcrb_lab.measurement import transmission_var
-from qcrb_lab.qfi import ParamFamily, lambda_lossy, qfi_btmss_full, qfi_gaussian
+from qcrb_lab.qfi import ParamFamily, h_factor, lambda_lossy, qfi_btmss_full, qfi_gaussian
 
 PROPERTY = settings(database=None, derandomize=True, max_examples=300, deadline=None)
 
@@ -88,6 +88,24 @@ def test_lambda_does_not_increase_with_eta_p(spec, channel, a, b):
 def test_btmss_lambda_does_not_increase_with_eta_a(spec, channel, a, b):
     lo, hi = sorted((a, b))
     assert _lam(spec, channel, eta_a=hi) <= _lam(spec, channel, eta_a=lo) * (1 + 1e-12)
+
+
+# lambda_curve's T_p term is -T^2 T_p h (1 - sech 2s): h_factor's sign sets the direction
+@PROPERTY
+@given(specs(), channels(), probe_losses, probe_losses)
+def test_lambda_does_not_increase_with_T_p_where_h_is_nonnegative(spec, channel, a, b):
+    if spec.kind is StateKind.BTMSS:
+        assume(channel.eta_a >= 0.5)
+    lo, hi = sorted((a, b))
+    assert _lam(spec, channel, T_p=hi) <= _lam(spec, channel, T_p=lo) * (1 + 1e-12)
+
+
+@PROPERTY
+@given(specs(kinds=(StateKind.BTMSS,)), channels(), probe_losses, probe_losses)
+def test_btmss_lambda_does_not_decrease_with_T_p_where_h_is_negative(spec, channel, a, b):
+    assume(spec.squeeze.s > 0 and h_factor(spec.squeeze.s, channel.eta_a) < 0)
+    lo, hi = sorted((a, b))
+    assert _lam(spec, channel, T_p=hi) >= _lam(spec, channel, T_p=lo) * (1 - 1e-12)
 
 
 @PROPERTY

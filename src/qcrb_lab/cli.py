@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -370,34 +371,49 @@ def _parse_args(argv):
     return args.command, cfg
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        cmd, cfg = _parse_args(argv)
-        fmt = cfg.get("format", "csv")
-        out = cfg.get("out")
-        if cmd == "validate":
-            return 0 if run_validate() else 2
-        if cmd in ("report", "mc"):
-            if "T" not in cfg:
-                raise UsageError(f"{cmd} requires --T")
-            rec = run_report(cfg) if cmd == "report" else run_mc(cfg)
-            write_records([rec], list(rec.keys()), out, fmt)
-            return 0
-        grid = parse_grid(cfg.get("grid", "T=0.01:0.99:99"))
-        if cmd == "sweep":
-            if "state" not in cfg:
-                raise UsageError("sweep requires --state")
-            rows = sweep_rows(cfg, grid)
-        elif cmd == "figure2":
-            rows = figure2_rows(grid)
-        else:
-            rows = figure3_rows(grid)
-        write_records(rows, FIGURE_COLUMNS, out, fmt)
+def _run(argv):
+    cmd, cfg = _parse_args(argv)
+    fmt = cfg.get("format", "csv")
+    out = cfg.get("out")
+    if cmd == "validate":
+        return 0 if run_validate() else 2
+    if cmd in ("report", "mc"):
+        if "T" not in cfg:
+            raise UsageError(f"{cmd} requires --T")
+        rec = run_report(cfg) if cmd == "report" else run_mc(cfg)
+        write_records([rec], list(rec.keys()), out, fmt)
         return 0
-    except (UsageError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    grid = parse_grid(cfg.get("grid", "T=0.01:0.99:99"))
+    if cmd == "sweep":
+        if "state" not in cfg:
+            raise UsageError("sweep requires --state")
+        rows = sweep_rows(cfg, grid)
+    elif cmd == "figure2":
+        rows = figure2_rows(grid)
+    else:
+        rows = figure3_rows(grid)
+    write_records(rows, FIGURE_COLUMNS, out, fmt)
+    return 0
+
+
+def main(argv=None):
+    """Run one subcommand; exit 0 (validate: 2 on a failed check), or 1 with one error line.
+
+    A library warning (the doubly seeded bTMSS off cos(Theta) = -1) becomes
+    one `warning: ...` line on stderr after a result; a failed command
+    prints only its error line.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            status = _run(argv)
+        except (UsageError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -7,9 +7,12 @@ direct summation, and QFI via eigendecomposition of the density matrix.
 
 Loss is binomial thinning, so photon-count statistics need only |c|^2
 and one binomial table per loss (thinned_probs); no density matrix is
-formed.  The QFI is one dense eigendecomposition of the whole density
-matrix, the same computation for every probe.  Intended for mean photon
-numbers of order a few.
+formed.  The QFI (oracle_qfi) builds the density matrix once and takes
+its T-derivative exactly from the amplitude-damping generator
+(loss_generator), then does one dense eigendecomposition of the whole
+matrix, the same computation for every probe; a real matrix is
+decomposed as a real one.  Intended for mean photon numbers of order a
+few.
 """
 
 from dataclasses import dataclass
@@ -280,26 +283,61 @@ def oracle_moments(rho):
     return count_moments(np.real(np.diag(rho.matrix)).reshape((dim,) * rho.modes))
 
 
-def oracle_qfi(rho_of_T, T, dT=1e-4, rtol=1e-5):
-    """QFI by eigendecomposition with a central-difference derivative.
+def loss_generator(rho):
+    """Amplitude-damping generator on the probe mode: a rho a^+ - {a^+ a, rho}/2.
 
-    rho_of_T maps a transmission to a FockDensity.  The result must be
-    stable under halving the step or a ValueError is raised.
+    Elementwise on the density tensor over the probe's row index i and
+    column index j, O(dim^2) with no operator matrices:
+    (a rho a^+)[i, j] = sqrt((i+1)(j+1)) rho[i+1, j+1] and
+    {a^+ a, rho}[i, j] = (i + j) rho[i, j].  Exact on the truncated basis,
+    since a only lowers the photon number.  The loss channel is
+    E_t = exp(-ln(t) L), so dE_t(rho)/dt = -L(E_t(rho)) / t.
     """
-    rho0 = rho_of_T(T)
-    p, U = np.linalg.eigh(rho0.matrix)
+    dim = rho.n_max + 1
+    t = rho.tensor()
+    n = np.arange(dim, dtype=float)
+    n_row = n.reshape((dim,) + (1,) * (t.ndim - 1))  # probe row: axis 0
+    n_col = n.reshape((dim,) + (1,) * (rho.modes - 1))  # probe column: axis `modes`
+    out = -0.5 * (n_row + n_col) * t
+    lower = [slice(None)] * t.ndim
+    upper = list(lower)
+    lower[0] = lower[rho.modes] = slice(None, -1)
+    upper[0] = upper[rho.modes] = slice(1, None)
+    out[tuple(lower)] += np.sqrt(n_row * n_col)[tuple(upper)] * t[tuple(upper)]
+    return FockDensity(
+        matrix=out.reshape(rho.matrix.shape), n_max=rho.n_max, modes=rho.modes
+    )
 
-    def qfi_for(step):
-        drho = (rho_of_T(T + step).matrix - rho_of_T(T - step).matrix) / (2 * step)
-        M = U.conj().T @ drho @ U
-        denom = p[:, None] + p[None, :]
-        mask = denom > 1e-12  # drop pairs of eigenvalues that are both ~0
-        return float(2.0 * np.sum(np.abs(M[mask]) ** 2 / denom[mask]))
 
-    f1 = qfi_for(dT)
-    f2 = qfi_for(dT / 2.0)
-    if abs(f1 - f2) > rtol * abs(f2):
+def oracle_qfi(rho_of_T, T):
+    """SLD QFI of rho(T) by one eigendecomposition and the exact derivative.
+
+    rho_of_T maps a transmission to a FockDensity and is called once, at
+    T.  T must scale the probe's (mode 0's) transmission multiplicatively,
+    as channel_density's t_p = T_p * T * eta_p does; then
+    d rho / dT = -L(rho) / T (loss_generator) exactly, whatever the other
+    losses.  With rho = sum_k p_k |u_k><u_k| and M = U^+ (d rho / dT) U,
+    F = 2 sum |M_kl|^2 / (p_k + p_l) over the pairs with p_k + p_l > 1e-12.
+    A rho with no imaginary part is decomposed as a real matrix.
+
+    Raises ValueError for T outside (0, 1], and when d rho / dT leaves the
+    support of rho: the largest dropped |M_kl| above 1e-6 times the
+    largest kept one (a lossless Fock state at T = 1, whose QFI diverges).
+    """
+    if not 0.0 < T <= 1.0:  # also nan
+        raise ValueError(f"transmission T = {T:g} outside (0, 1]")
+    rho = rho_of_T(T)
+    if not rho.matrix.imag.any():
+        rho = FockDensity(matrix=rho.matrix.real, n_max=rho.n_max, modes=rho.modes)
+    p, U = np.linalg.eigh(rho.matrix)
+    drho = loss_generator(rho).matrix * (-1.0 / T)
+    M = np.abs(U.conj().T @ drho @ U)  # |M_kl|
+    denom = p[:, None] + p[None, :]
+    kept = denom > 1e-12  # drop pairs of eigenvalues that are both ~0
+    dropped = M[~kept].max(initial=0.0)
+    if dropped > 1e-6 * M[kept].max(initial=0.0):
         raise ValueError(
-            f"QFI derivative not converged: {f1:.8e} vs {f2:.8e} at dT={dT:g}"
+            f"d rho/dT leaves the support of rho at T = {T:g} (dropped block "
+            f"{dropped:.3e}): the QFI diverges or n_max is too small"
         )
-    return f2
+    return float(2.0 * np.sum(M[kept] ** 2 / denom[kept]))

@@ -75,6 +75,8 @@ class SqueezeSpec:
             raise ValueError("squeezing parameter s and phase theta must be finite")
         if not 0 <= self.s <= S_MAX:
             raise ValueError(f"squeezing parameter s must lie in [0, {S_MAX:g}]")
+        if self.s == 0 and math.copysign(1.0, self.s) < 0:
+            object.__setattr__(self, "s", 0.0)  # -0.0 would print as "-0"
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,12 @@ def check_measurement_saturation():
 
 
 def check_fock_oracle_qfi():
-    """Eigendecomposition QFI vs closed forms at small photon number."""
+    """Fock-oracle QFI vs closed forms at small photon number.
+
+    fock.oracle_qfi: one density matrix per point, its exact T-derivative
+    from the loss generator and one eigendecomposition (real at every
+    point here: Fock, real-alpha coherent and theta = 0 vacuum TMSS).
+    """
     worst = 0.0
     for T in (0.2, 0.5, 0.8):
         ch = ChannelConfig(T=T)

@@ -236,6 +236,14 @@ class TestSweepAndFigures:
         ts = [float(r["T"]) for r in rows]
         assert ts == sorted(ts)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_zero_squeeze_prints_as_zero(self, capsys, fmt):
+        argv = ["sweep", "--state", "bsmss", "--alpha", "1000", "--grid", "T=0.2:0.8:3", "--format", fmt]
+        code, negative, err = run_cli(capsys, *argv, "--s", "-0")
+        assert (code, err) == (0, "")
+        assert negative == run_cli(capsys, *argv, "--s", "0")[1]
+        assert "bsmss_s0" in negative and "-0" not in negative
+
     def test_figure2_curve_inventory(self, capsys):
         code, out, _ = run_cli(capsys, "figure2", "--grid", "T=0.1:0.9:5")
         assert code == 0
@@ -571,6 +579,31 @@ class TestValidate:
         assert any(l.startswith("FAIL") for l in out.splitlines())
 
 
+class TestWarnings:
+    @pytest.mark.filterwarnings("error")
+    def test_doubly_seeded_off_phase_prints_one_warning_line(self, capsys):
+        argv = ["report", "--state", "btmss", "--alpha", "1", "--beta", "1", "--T", "0.5"]
+        code, out, err = run_cli(capsys, *argv, "--theta", "0")
+        assert code == 0
+        assert out == run_cli(capsys, *argv, "--theta", "0")[1]
+        assert err == (
+            "warning: doubly seeded bTMSS with cos(Theta) != -1: the optimized "
+            "intensity difference does not saturate the bound\n"
+        )
+        # the saturating phase stays silent
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_failed_command_prints_only_its_error(self, capsys, tmp_path):
+        # the warning is raised, then writing the record fails
+        target = tmp_path / "missing" / "out.csv"
+        argv = ["report", "--state", "btmss", "--alpha", "1", "--beta", "1", "--theta", "0", "--T", "0.5"]
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestSpecDefaults:
     def test_doubly_seeded_theta_defaults_to_pi(self):
         spec = cli.build_spec({"state": "btmss", "alpha": 10.0, "beta": 5.0, "s": 1.0})
@@ -662,7 +695,6 @@ def printed_numbers(text, fmt):
 
 
 class TestFuzzMain:
-    @pytest.mark.filterwarnings("ignore:doubly seeded bTMSS")  # transmission_var's documented warning
     @settings(PROPERTY, max_examples=400)
     @given(cli_argvs())
     def test_finite_numbers_or_exit_1(self, argv):

@@ -220,18 +220,93 @@ class TestOracleQFI:
         want = qfi_gaussian(ParamFamily(seeded_btmss(), ch), T).qfi
         assert got == pytest.approx(want, rel=1e-5)
 
-    def test_convergence_guard(self):
-        # a huge step on a high-order density cannot pass a tight gate
-        spec = StateSpec(StateKind.FOCK, fock_n=5)
-        with pytest.raises(ValueError):
+    def test_calls_rho_of_T_once(self):
+        spec = StateSpec(StateKind.FOCK, fock_n=3)
+        calls = []
+
+        def rho_of_T(t):
+            calls.append(t)
+            return fock.channel_density(spec, ChannelConfig(T=0.45, T_p=0.9), n_max=5, T=t)
+
+        fock.oracle_qfi(rho_of_T, 0.45)
+        assert calls == [0.45]
+
+    @pytest.mark.parametrize("T", [0.0, -0.2, 1.5, float("nan"), float("inf")])
+    def test_rejects_transmission_outside_unit_interval(self, T):
+        def rho_of_T(t):
+            raise AssertionError("rho_of_T called")
+
+        with pytest.raises(ValueError, match="outside"):
+            fock.oracle_qfi(rho_of_T, T)
+
+    def test_refuses_a_derivative_outside_the_support(self):
+        # a lossless Fock state at T = 1 is pure and L moves it to |n-1>:
+        # the true QFI diverges, and the finite sum would read n^2 = 16
+        spec = StateSpec(StateKind.FOCK, fock_n=4)
+        with pytest.raises(ValueError, match="support"):
             fock.oracle_qfi(
-                lambda t: fock.channel_density(
-                    spec, ChannelConfig(T=0.5), n_max=7, T=t
-                ),
-                0.5,
-                dT=0.3,
-                rtol=1e-12,
+                lambda t: fock.channel_density(spec, ChannelConfig(T=1.0), n_max=6, T=t), 1.0
             )
+
+    def test_lossless_coherent_state_at_unit_transmission(self):
+        # pure, but its derivative stays inside the support: F = |alpha|^2 / T
+        got = fock.oracle_qfi(
+            lambda t: fock.channel_density(coherent_spec(2.0), ChannelConfig(T=1.0), n_max=30, T=t),
+            1.0,
+        )
+        assert got == pytest.approx(4.0, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "real, rotated, n_max",
+        [
+            (
+                StateSpec(StateKind.BTMSS, squeeze=SqueezeSpec(s=0.5, theta=0.0)),
+                StateSpec(StateKind.BTMSS, squeeze=SqueezeSpec(s=0.5, theta=1.1)),
+                22,
+            ),
+            (coherent_spec(2.0), StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(2.0, 0.7)), 30),
+        ],
+        ids=["vtmss", "coherent"],
+    )
+    def test_phase_rotation_leaves_the_qfi(self, real, rotated, n_max):
+        # the real density takes the real eigensolver, the rotated one the complex
+        ch = ChannelConfig(T=0.45, T_p=0.9, eta_p=0.95, eta_a=0.8)
+        rhos = [fock.channel_density(spec, ch, n_max=n_max) for spec in (real, rotated)]
+        assert not rhos[0].matrix.imag.any() and rhos[1].matrix.imag.any()
+        a, b = (fock.oracle_qfi(lambda t, spec=spec: fock.channel_density(spec, ch, n_max=n_max, T=t), ch.T)
+                for spec in (real, rotated))
+        assert a == pytest.approx(b, rel=1e-9)
+
+
+class TestLossGenerator:
+    @pytest.mark.parametrize(
+        "spec, channel, n_max",
+        [
+            (StateSpec(StateKind.FOCK, fock_n=4), ChannelConfig(T=0.4, T_p=0.9, eta_p=0.95), 6),
+            (
+                StateSpec(StateKind.BTMSS, squeeze=SqueezeSpec(s=0.5)),
+                ChannelConfig(T=0.4, T_p=0.9, eta_p=0.95, eta_a=0.8),
+                20,
+            ),
+            (seeded_btmss(), ChannelConfig(T=0.4, T_p=0.9, eta_p=0.95, eta_a=0.8), 20),
+        ],
+        ids=["fock", "vtmss", "btmss"],
+    )
+    def test_equals_a_step_halved_central_difference(self, spec, channel, n_max):
+        T = channel.T
+        rho = fock.channel_density(spec, channel, n_max=n_max)
+        exact = -fock.loss_generator(rho).matrix / T
+        scale = np.max(np.abs(exact))
+
+        def central(h):
+            up = fock.channel_density(spec, channel, n_max=n_max, T=T + h).matrix
+            down = fock.channel_density(spec, channel, n_max=n_max, T=T - h).matrix
+            return (up - down) / (2 * h)
+
+        coarse, fine = central(1e-3), central(5e-4)
+        # O(h^2): halving the step quarters the gap, and the extrapolation closes it
+        assert np.max(np.abs(fine - exact)) <= 1e-5 * scale
+        assert np.max(np.abs((4 * fine - coarse) / 3 - exact)) <= 1e-10 * scale
 
 
 class TestBinomial:

@@ -9,8 +9,8 @@ Run:  python3 demos/probe_comparison.py
 
 import numpy as np
 
-from qcrb_lab import ComplexAmplitude, SqueezeSpec, StateKind, StateSpec
-from qcrb_lab.qfi import lambda_pure
+from qcrb_lab import ChannelConfig, ComplexAmplitude, SqueezeSpec, StateKind, StateSpec
+from qcrb_lab.qfi import lambda_curve
 
 S = 2.0
 ALPHA = ComplexAmplitude(1e3)  # bright seed, |alpha|^2 = 1e6 photons
@@ -29,14 +29,14 @@ header = "T".rjust(6) + "".join(name.rjust(12) for name in probes)
 print(header)
 print("-" * len(header))
 for T in np.arange(0.1, 1.0, 0.1):
-    cells = [f"{lambda_pure(spec, T):12.6f}" for spec in probes.values()]
+    cells = [f"{lambda_curve(spec, ChannelConfig(), T):12.6f}" for spec in probes.values()]
     print(f"{T:6.2f}" + "".join(cells))
 
 # The payoff shows up at high transmission: how many more photons does
 # each probe need to match a single-photon Fock measurement at T = 0.99?
 T = 0.99
-lam_fock = lambda_pure(probes["Fock"], T)
+lam_fock = lambda_curve(probes["Fock"], ChannelConfig(), T)
 print(f"\nphoton cost relative to the Fock probe at T = {T}:")
 for name in ("coherent", "bTMSS", "bSMSS"):
-    ratio = lambda_pure(probes[name], T) / lam_fock
+    ratio = lambda_curve(probes[name], ChannelConfig(), T) / lam_fock
     print(f"  {name:9s} needs {ratio:8.3f}x the photons")

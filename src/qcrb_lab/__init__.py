@@ -30,7 +30,6 @@ from .measurement import (
     Sampler,
     Strategy,
     diff_variance,
-    intensity_stats,
     mc_estimate,
     optimal_gain,
     strategy_for,
@@ -46,7 +45,6 @@ from .qfi import (
     h_factor,
     lambda_curve,
     lambda_lossy,
-    lambda_pure,
     lossy_symplectic_closed_form,
     qfi_btmss_full,
     qfi_gaussian,

@@ -94,7 +94,8 @@ class StateSpec:
 
     def __post_init__(self):
         # photon counts are doubles downstream; a larger int overflows the conversion
-        if self.kind is StateKind.FOCK and not 0 <= self.fock_n <= sys.float_info.max:
+        n = self.fock_n
+        if self.kind is StateKind.FOCK and not (isinstance(n, (int, np.integer)) and 0 <= n <= sys.float_info.max):
             raise ValueError("fock_n must be a nonnegative integer no larger than the largest double")
 
 
@@ -219,9 +220,10 @@ def make_source(spec):
 
 
 def _attenuate(state, scale):
-    """Beamsplitter-with-vacuum loss with amplitude factor sqrt(t) per index."""
-    D = np.diag(scale)
-    sigma = D @ state.sigma @ D + np.eye(len(scale)) - D @ D
+    """Beamsplitter-with-vacuum loss with amplitude factor sqrt(t) per index; scale's leading axes stack."""
+    # D sigma D + I - D^2 with D = diag(scale), elementwise in that order to round as the matrix form does
+    eye = np.eye(scale.shape[-1])
+    sigma = scale[..., :, None] * state.sigma * scale[..., None, :] + eye - eye * scale[..., None, :] ** 2
     return GaussianState(d=scale * state.d, sigma=sigma)
 
 
@@ -237,39 +239,41 @@ def apply_loss(state, mode, t):
     return _attenuate(state, scale)
 
 
-def channel_scaling(ch, modes):
+def channel_scaling(ch, modes, T):
     """Amplitude factors of the loss chain over the 2*modes complex-form indices.
 
     Losses in series compose by multiplying transmissions, so the probe
-    sees T_p * T * eta_p in one step; the auxiliary mode sees eta_a.
+    sees T_p * T * eta_p in one step; the auxiliary mode sees eta_a.  T
+    (a float or an array, whose shape leads the result's) stands for ch.T.
     """
-    amps = [math.sqrt(ch.probe_transmission), math.sqrt(ch.eta_a)][:modes]
-    return np.array(amps * 2)
+    probe = ch.T_p * np.asarray(T) * ch.eta_p
+    return np.sqrt(np.where([True, False][:modes] * 2, probe[..., None], ch.eta_a))
 
 
 def apply_channel(state, ch):
     """Probe through T_p, T, eta_p; auxiliary (if present) through eta_a."""
-    return _attenuate(state, channel_scaling(ch, state.modes))
+    return _attenuate(state, channel_scaling(ch, state.modes, ch.T))
 
 
 def symplectic_spectrum(S, S_dot=None):
     """Positive eigenvalues of S = k.sigma, ascending; with S_dot also their derivatives.
 
+    S and S_dot may be (..., 2m, 2m) stacks; the results are (..., m).
     The eigenvalues of k.sigma come in +/- pairs.  The derivative of a
     simple eigenvalue is the diagonal of V^-1 S_dot V for the right
     eigenvectors V: the rows of V^-1 are the left eigenvectors,
     normalized against the right ones.
     """
     w, V = np.linalg.eig(S)
-    w = w.real
-    order = np.argsort(w)
-    pos = order[w[order] > 0]
-    if 2 * len(pos) != len(w):
+    m = w.shape[-1] // 2
+    key = w.real
+    if S_dot is not None:
+        # complex numbers sort by real part first: each eigenvalue keeps its derivative
+        key = key + 1j * np.diagonal(np.linalg.solve(V, S_dot @ V), axis1=-2, axis2=-1).real
+    key = np.sort(key)
+    if not ((key.real[..., m - 1] <= 0) & (key.real[..., m] > 0)).all():
         raise ValueError("symplectic spectrum does not split into +/- pairs")
-    if S_dot is None:
-        return w[pos]
-    w_dot = np.diagonal(np.linalg.solve(V, S_dot @ V)).real
-    return w[pos], w_dot[pos]
+    return key[..., m:] if S_dot is None else (key.real[..., m:], key.imag[..., m:])
 
 
 def symplectic_eigenvalues(state):

@@ -84,13 +84,6 @@ def thinned_stats(mean0, var0, t):
     return t * mean0, t * t * var0 + t * (1.0 - t) * mean0
 
 
-def intensity_stats(moments0, t):
-    """Probe-intensity mean and variance after total transmission t."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("transmission outside [0, 1]")
-    return thinned_stats(moments0.mean_p, moments0.var_p, t)
-
-
 _FANO = {
     StateKind.COHERENT: lambda spec: 1.0,
     StateKind.BSMSS: lambda spec: math.exp(-2.0 * spec.squeeze.s),
@@ -210,7 +203,7 @@ def mc_estimate(spec, channel, plan, cfg):
         offset = g * channel.eta_a * m0.mean_a
     else:
         g = 0.0
-        _, closed_var_n = intensity_stats(m0, t_probe)
+        _, closed_var_n = thinned_stats(m0.mean_p, m0.var_p, t_probe)
         offset = 0.0
     closed_var_T = closed_var_n / slope**2
     se = closed_var_T * math.sqrt(2.0 / (cfg.trials - 1))

@@ -33,8 +33,8 @@ from qcrb_lab.qfi import (
     fisher_max,
     fock_qfi_lossy,
     h_factor,
+    lambda_curve,
     lambda_lossy,
-    lambda_pure,
 )
 from qcrb_lab.validate import (
     check_closed_vs_gaussian,
@@ -80,7 +80,7 @@ def test_criterion_1_photon_cost_ratios():
             StateKind.COHERENT: 100.0,
         }
         for kind, want in ratios.items():
-            got = lambda_pure(bright(kind, s), T) / lam_fock
+            got = lambda_curve(bright(kind, s), ChannelConfig(), T) / lam_fock
             assert got == pytest.approx(want, abs=0.01), kind
 
 
@@ -199,9 +199,9 @@ def test_criterion_8_edge_behavior():
 
         # zero squeezing collapses every Lambda onto the coherent one, exactly
         for T in T_GRID:
-            lam_coh = lambda_pure(bright(StateKind.COHERENT, 0.0), float(T))
+            lam_coh = lambda_curve(bright(StateKind.COHERENT, 0.0), ChannelConfig(), float(T))
             for kind in (StateKind.BTMSS, StateKind.BSMSS):
-                assert lambda_pure(bright(kind, 0.0), float(T)) == lam_coh
+                assert lambda_curve(bright(kind, 0.0), ChannelConfig(), float(T)) == lam_coh
             ch = ChannelConfig(T=float(T), T_p=0.9, eta_p=0.98, eta_a=0.98)
             lam_coh = lambda_lossy(bright(StateKind.COHERENT, 0.0), ch).lam
             for kind in (StateKind.BTMSS, StateKind.BSMSS):

@@ -79,6 +79,15 @@ class TestAmplitudes:
         with pytest.raises(ValueError):
             make()
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, -1, np.float64(3.0)], ids=["2.5", "2.0", "negative", "float64"])
+    def test_fock_n_must_be_a_nonnegative_integer(self, n):
+        with pytest.raises(ValueError, match="fock_n"):
+            StateSpec(StateKind.FOCK, fock_n=n)
+
+    def test_numpy_integer_fock_n_accepted(self):
+        spec = StateSpec(StateKind.FOCK, fock_n=np.int64(3))
+        assert fock.build_fock_state(spec, n_max=5).coeffs[3] == 1.0
+
     def test_largest_squeeze_keeps_cosh_finite(self):
         s = SqueezeSpec(s=S_MAX).s
         assert np.isfinite(np.cosh(2 * s)) and np.isfinite(2 * np.sinh(s) ** 2)
@@ -282,6 +291,21 @@ class TestSymplectic:
         assert np.allclose(lam, w.real[pos], rtol=1e-13)
         assert np.allclose(lam_dot, want_dot, rtol=1e-12, atol=1e-14)
         assert np.array_equal(symplectic_spectrum(S), lam)
+
+    def test_stacked_spectrum_equals_one_call_per_matrix(self):
+        k = k_matrix(2)
+        spec = StateSpec(
+            StateKind.BTMSS, alpha=ComplexAmplitude(2.0, 0.4), squeeze=SqueezeSpec(s=0.9, theta=2.0)
+        )
+        family = ParamFamily(spec, ChannelConfig(T_p=0.9, eta_p=0.95, eta_a=0.8))
+        T = np.array([[0.2, 0.45], [0.7, 0.95]])
+        S, S_dot = k @ family.state_at(T).sigma, k @ family.derivatives_at(T)[0]
+        lam, lam_dot = symplectic_spectrum(S, S_dot)
+        assert lam.shape == lam_dot.shape == (2, 2, 2)
+        for i in np.ndindex(T.shape):
+            one, one_dot = symplectic_spectrum(S[i], S_dot[i])
+            assert np.array_equal(lam[i], one) and np.array_equal(lam_dot[i], one_dot)
+            assert np.array_equal(symplectic_spectrum(S)[i], one)
 
     def test_spectrum_without_pairs_rejected(self):
         with pytest.raises(ValueError, match="pairs"):

@@ -20,7 +20,6 @@ from qcrb_lab.measurement import (
     MeasurementPlan,
     Sampler,
     diff_variance,
-    intensity_stats,
     _exact_joint_probs,
     mc_estimate,
     optimal_gain,
@@ -53,7 +52,7 @@ class TestClosedForms:
 
     def test_intensity_poisson_fixed_point(self):
         m = source_moments(StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(3.0)))
-        mean, var = intensity_stats(m, 0.4)
+        mean, var = thinned_stats(m.mean_p, m.var_p, 0.4)
         assert mean == pytest.approx(var)  # Poisson in, Poisson out
 
     @pytest.mark.parametrize(

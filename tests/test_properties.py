@@ -146,3 +146,30 @@ def test_spectrum_derivative_equals_a_central_difference(spec, channel, T, eta_a
     fd = (symplectic_eigenvalues(family.state_at(T + h)) - symplectic_eigenvalues(family.state_at(T - h))) / (2 * h)
     # the difference carries a rounding error of about eps * lam / h
     assert np.allclose(lam_dot, fd, rtol=1e-6, atol=1e3 * np.finfo(float).eps * lam.max() / h)
+
+
+@st.composite
+def seeded_families(draw):
+    """Lossy seeded coherent, bSMSS and bTMSS families at any squeezing phase."""
+    kind = draw(st.sampled_from((StateKind.COHERENT, StateKind.BSMSS, StateKind.BTMSS)))
+    spec = StateSpec(
+        kind,
+        alpha=ComplexAmplitude(draw(st.floats(0.5, 1e3)), draw(phases)),
+        beta=ComplexAmplitude(draw(st.floats(0.0, 10.0)), draw(phases)),
+        squeeze=SqueezeSpec(s=draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0))), theta=draw(phases)),
+    )
+    return ParamFamily(spec, draw(channels()))
+
+
+@PROPERTY
+@given(seeded_families(), st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6), st.booleans())
+def test_an_array_of_T_equals_a_loop_of_scalar_calls(family, Ts, bright_limit):
+    got = qfi_gaussian(family, np.array(Ts), bright_limit=bright_limit)
+    want = [qfi_gaussian(family, T, bright_limit=bright_limit) for T in Ts]
+    assert got.n_resource == want[0].n_resource
+    for field in ("qfi", "qcrb", "lam"):
+        loop = np.array([getattr(rep, field) for rep in want])
+        if bright_limit:
+            assert np.array_equal(getattr(got, field), loop)
+        else:
+            assert np.allclose(getattr(got, field), loop, rtol=1e-13, atol=0.0)

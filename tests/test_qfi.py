@@ -1,6 +1,7 @@
 """Tests for QFI formulas: closed forms, general Gaussian route, Fock sums."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qcrb_lab.gaussian import (
     symplectic_eigenvalues,
 )
 from qcrb_lab.qfi import (
+    SIGMA_MAX,
     ParamFamily,
     QFIMethod,
     big_theta,
@@ -26,7 +28,6 @@ from qcrb_lab.qfi import (
     h_factor,
     lambda_curve,
     lambda_lossy,
-    lambda_pure,
     lossy_symplectic_closed_form,
     qfi_btmss_full,
     qfi_gaussian,
@@ -52,27 +53,27 @@ def bright(kind, s=2.0, mag=1e3):
 class TestClosedFormsLossless:
     def test_coherent_shot_noise(self):
         for T in (0.1, 0.5, 0.9):
-            assert lambda_pure(bright(StateKind.COHERENT), T) == T
+            assert lambda_curve(bright(StateKind.COHERENT), ChannelConfig(), T) == T
 
     def test_frozen_values(self):
-        assert lambda_pure(bright(StateKind.BTMSS), 0.99) == pytest.approx(
+        assert lambda_curve(bright(StateKind.BTMSS), ChannelConfig(), 0.99) == pytest.approx(
             LAM_BTMSS_T99_S2, rel=1e-14
         )
-        assert lambda_pure(bright(StateKind.BSMSS), 0.99) == pytest.approx(
+        assert lambda_curve(bright(StateKind.BSMSS), ChannelConfig(), 0.99) == pytest.approx(
             LAM_BSMSS_T99_S2, rel=1e-14
         )
 
     def test_fock_reaches_ultimate_bound(self):
         spec = StateSpec(StateKind.FOCK, fock_n=5)
         for T in (0.2, 0.7):
-            assert lambda_pure(spec, T) == pytest.approx(T - T * T, rel=1e-14)
+            assert lambda_curve(spec, ChannelConfig(), T) == pytest.approx(T - T * T, rel=1e-14)
             assert fisher_max(5, T) == pytest.approx(5 / (T - T * T))
 
     def test_squeezing_improves_monotonically(self):
         T = 0.8
-        prev = lambda_pure(bright(StateKind.COHERENT), T)
+        prev = lambda_curve(bright(StateKind.COHERENT), ChannelConfig(), T)
         for s in (0.5, 1.0, 1.5, 2.0, 3.0):
-            cur = lambda_pure(bright(StateKind.BTMSS, s=s), T)
+            cur = lambda_curve(bright(StateKind.BTMSS, s=s), ChannelConfig(), T)
             assert cur < prev
             prev = cur
         # the Fock / quantum-limit value is the floor
@@ -82,18 +83,18 @@ class TestClosedFormsLossless:
         # e^{-2s} < sech(2s), so at equal s the single-mode probe wins lossless
         for T in (0.3, 0.6, 0.9):
             for s in (0.5, 1.0, 2.0):
-                assert lambda_pure(bright(StateKind.BSMSS, s=s), T) < lambda_pure(
-                    bright(StateKind.BTMSS, s=s), T
+                assert lambda_curve(bright(StateKind.BSMSS, s=s), ChannelConfig(), T) < lambda_curve(
+                    bright(StateKind.BTMSS, s=s), ChannelConfig(), T
                 )
 
     def test_zero_squeeze_collapses_to_coherent(self):
         for T in (0.25, 0.75):
-            assert lambda_pure(bright(StateKind.BTMSS, s=0.0), T) == pytest.approx(T)
-            assert lambda_pure(bright(StateKind.BSMSS, s=0.0), T) == pytest.approx(T)
+            assert lambda_curve(bright(StateKind.BTMSS, s=0.0), ChannelConfig(), T) == pytest.approx(T)
+            assert lambda_curve(bright(StateKind.BSMSS, s=0.0), ChannelConfig(), T) == pytest.approx(T)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            lambda_pure(bright(StateKind.COHERENT), 0.0)
+            lambda_curve(bright(StateKind.COHERENT), ChannelConfig(), 0.0)
         for bad in ([0.5, 1.0], [0.0, 0.5], [0.5, np.nan]):
             with pytest.raises(ValueError):
                 lambda_curve(bright(StateKind.BTMSS), ChannelConfig(), np.array(bad))
@@ -101,6 +102,9 @@ class TestClosedFormsLossless:
             fisher_max(1.0, 1.0)
         with pytest.raises(ValueError):
             fisher_max(0.0, 0.5)
+        for n in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                fisher_max(n, 0.5)
 
 
 class TestClosedFormsLossy:
@@ -109,7 +113,7 @@ class TestClosedFormsLossy:
         probes = [bright(k) for k in (StateKind.COHERENT, StateKind.BTMSS, StateKind.BSMSS)]
         for spec in probes + [StateSpec(StateKind.FOCK, fock_n=3)]:
             rep = lambda_lossy(spec, ch)
-            assert rep.lam == lambda_pure(spec, 0.6)
+            assert rep.lam == lambda_curve(spec, ChannelConfig(), 0.6)
             assert rep.method is QFIMethod.CLOSED_FORM
 
     def test_h_factor_frozen_value(self):
@@ -215,6 +219,74 @@ class TestGaussianGeneral:
         assert np.max(np.abs(sd_a - sd_f)) < 1e-6 * np.max(np.abs(sd_a))
         assert np.max(np.abs(dd_a - dd_f)) < 1e-6 * np.max(np.abs(dd_a))
 
+    def test_an_array_T_gives_arrays_of_its_shape_and_a_float_T_floats(self):
+        family = ParamFamily(bright(StateKind.BTMSS, s=1.0, mag=3.0), ChannelConfig(T_p=0.9, eta_p=0.95, eta_a=0.9))
+        T = np.array([[0.2, 0.4, 0.6], [0.3, 0.5, 0.7]])
+        rep = qfi_gaussian(family, T)
+        assert rep.qfi.shape == rep.qcrb.shape == rep.lam.shape == T.shape
+        one = qfi_gaussian(family, 0.4)
+        assert all(type(v) is float for v in (one.qfi, one.qcrb, one.lam, one.n_resource))
+        state, (sigma_dot, d_dot) = family.state_at(T), family.derivatives_at(T)
+        for i in np.ndindex(T.shape):
+            want, (want_sigma_dot, want_d_dot) = family.state_at(float(T[i])), family.derivatives_at(float(T[i]))
+            assert np.array_equal(state.sigma[i], want.sigma) and np.array_equal(state.d[i], want.d)
+            assert np.array_equal(sigma_dot[i], want_sigma_dot) and np.array_equal(d_dot[i], want_d_dot)
+
+    @pytest.mark.parametrize(
+        "T, named", [(0.0, "0.0"), (-0.1, "-0.1"), (1.5, "1.5"), (np.nan, "nan"), ([0.5, 0.0, -1.0], "0.0")]
+    )
+    def test_derivatives_refuse_T_outside_the_unit_interval_naming_it(self, T, named):
+        with pytest.raises(ValueError, match=re.escape(f"(at T={named})")):
+            ParamFamily(bright(StateKind.BTMSS), ChannelConfig()).derivatives_at(T)
+
+    def test_state_refuses_T_above_one_naming_it(self):
+        with pytest.raises(ValueError, match=re.escape("T=1.5")):
+            ParamFamily(bright(StateKind.BSMSS), ChannelConfig()).state_at(np.array([0.5, 1.5]))
+
+    @pytest.mark.parametrize(
+        "kind, bright_limit, s",
+        [
+            (StateKind.BSMSS, True, 15.0),
+            (StateKind.BSMSS, True, 100.0),
+            (StateKind.BSMSS, False, 20.0),
+            (StateKind.BTMSS, True, 30.0),
+            (StateKind.BTMSS, False, 12.0),
+            (StateKind.BTMSS, False, 100.0),
+            (StateKind.BSMSS, True, 355.0),
+        ],
+    )
+    def test_refuses_squeezing_beyond_double_algebra(self, kind, bright_limit, s):
+        # unchecked, each point gives a QFI off by 1e-4 or more, a singular matrix, a math domain error or an overflow
+        ch = ChannelConfig(T=0.5, T_p=0.9, eta_p=0.98, eta_a=0.98)
+        with pytest.raises(ValueError, match=rf"s={s:g} .*\(at T=0\.5\)"):
+            qfi_gaussian(ParamFamily(bright(kind, s=s), ch), 0.5, bright_limit=bright_limit)
+
+    def test_squeezing_bound_sits_at_sigma_max(self):
+        # a lossless bSMSS at T has the largest covariance entry T (cosh 2s - 1) + 1
+        T = 0.5
+        edge = math.acosh((SIGMA_MAX - 1.0) / T + 1.0) / 2.0
+        below = bright(StateKind.BSMSS, s=edge * (1 - 1e-6))
+        rep = qfi_gaussian(ParamFamily(below, ChannelConfig()), T, bright_limit=True)
+        assert rep.lam == pytest.approx(lambda_lossy(below, ChannelConfig(T=T)).lam, rel=1e-9)
+        above = ParamFamily(bright(StateKind.BSMSS, s=edge * (1 + 1e-6)), ChannelConfig())
+        with pytest.raises(ValueError, match="SIGMA_MAX"):
+            qfi_gaussian(above, T, bright_limit=True)
+        with pytest.raises(ValueError, match=re.escape("(at T=0.6)")):
+            qfi_gaussian(ParamFamily(bright(StateKind.BSMSS, s=edge), ChannelConfig()), np.array([0.3, 0.6, 0.4]))
+
+    @pytest.mark.parametrize(
+        "s, T, refusal",
+        [
+            (1e-5, [0.5, 0.999], r"pure but sigma varies .*\(at T=0\.999\)"),
+            (1e-4, [0.5, 0.05], r"both symplectic eigenvalues at 1 .*\(at T=0\.05\)"),
+        ],
+        ids=["pure", "both-eigenvalues-at-1"],
+    )
+    def test_refusals_name_the_first_offending_T(self, s, T, refusal):
+        # a nearly coherent bSMSS: 4 T (1 - T) sinh(s)^2 sets det(k sigma) - 1
+        with pytest.raises(ValueError, match=refusal):
+            qfi_gaussian(ParamFamily(bright(StateKind.BSMSS, s=s), ChannelConfig()), np.array(T))
+
     def test_big_theta_conventions(self):
         spec = StateSpec(
             StateKind.BTMSS,
@@ -299,6 +371,10 @@ class TestFockQFI:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             fock_qfi_lossy(0, ChannelConfig(T=0.5))
+
+    def test_non_integral_n_refused_before_the_binomial_sum(self):
+        with pytest.raises(ValueError, match="fock_n"):
+            fock_qfi_lossy(2.5, ChannelConfig(T=0.5))
 
 
 class TestBrightThreshold:

@@ -15,10 +15,8 @@ from .gaussian import (
     StateKind,
     StateSpec,
     apply_channel,
-    apply_loss,
     make_bsmss,
     make_btmss,
-    make_coherent,
     make_source,
     photon_moments,
     symplectic_eigenvalues,

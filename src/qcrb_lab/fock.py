@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import Moments, StateKind
+from .gaussian import Moments, SqueezeSpec, StateKind
 
 TAIL_TOL = 1e-10
 
@@ -70,13 +70,6 @@ def _check_tail(coeffs, n_max):
         )
 
 
-def _coherent_coeffs(alpha, n_max):
-    c = np.zeros(n_max + 1, dtype=complex)
-    c[0] = np.exp(-abs(alpha) ** 2 / 2.0)
-    for n in range(1, n_max + 1):
-        c[n] = c[n - 1] * alpha / np.sqrt(n)
-    return c
-
 def _smss_coeffs(alpha, s, theta, n_max):
     # eigenvalue relation (cosh(s) a + e^{i theta} sinh(s) a+) |psi> = alpha |psi>
     ch, sh = np.cosh(s), np.sinh(s)
@@ -118,11 +111,7 @@ def build_fock_state(spec, n_max):
         return FockVector(coeffs=c, n_max=n_max)
     # a state too wide for n_max may overflow its expansion to inf and nan; _check_tail refuses it
     with np.errstate(over="ignore", invalid="ignore"):
-        if spec.kind is StateKind.COHERENT:
-            c = _coherent_coeffs(spec.alpha.value, n_max)
-        elif spec.kind is StateKind.BSMSS:
-            c = _smss_coeffs(spec.alpha.value, spec.squeeze.s, spec.squeeze.theta, n_max)
-        elif spec.kind is StateKind.BTMSS:
+        if spec.kind is StateKind.BTMSS:
             c = _btmss_coeffs(
                 spec.alpha.value,
                 spec.beta.value,
@@ -131,8 +120,9 @@ def build_fock_state(spec, n_max):
                 n_max,
             )
         else:
-            raise ValueError(f"unsupported state kind {spec.kind}")
-        norm = np.linalg.norm(c)
+            sq = SqueezeSpec() if spec.kind is StateKind.COHERENT else spec.squeeze  # coherent: the s = 0 bSMSS
+            c = _smss_coeffs(spec.alpha.value, sq.s, sq.theta, n_max)
+        norm = np.linalg.norm(c)  # an overflowed norm left all zeros, which pass _check_tail: 0/0 makes them nan
         if abs(norm - 1.0) > 1e-6:
             c = c / norm
     _check_tail(c, n_max)

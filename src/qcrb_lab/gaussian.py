@@ -18,8 +18,6 @@ from enum import Enum
 
 import numpy as np
 
-# Tolerance for symplectic / purity checks on well-conditioned 4x4 matrices.
-SYM_TOL = 1e-9
 # Largest accepted squeezing: cosh(2s) overflows a double just above s = 355.2.
 S_MAX = 355.0
 
@@ -151,15 +149,8 @@ def k_matrix(modes):
     return np.diag([1.0] * modes + [-1.0] * modes)
 
 
-def make_coherent(alpha):
-    """Coherent state |alpha>: identity covariance, d = (alpha, alpha*)."""
-    a = alpha.value
-    d = np.array([a, np.conj(a)])
-    return GaussianState(d=d, sigma=np.eye(2, dtype=complex))
-
-
 def make_bsmss(alpha, squeeze):
-    """Bright single-mode squeezed state S(s, theta) D(alpha) |0>."""
+    """Bright single-mode squeezed state S(s, theta) D(alpha) |0>; at s = 0 the coherent state |alpha>."""
     s, th = squeeze.s, squeeze.theta
     a = alpha.value
     e = np.exp(1j * th)
@@ -210,8 +201,8 @@ def make_btmss(alpha, beta, squeeze):
 
 def make_source(spec):
     """Build the generated (pre-loss) Gaussian state for a StateSpec."""
-    if spec.kind is StateKind.COHERENT:
-        return make_coherent(spec.alpha)
+    if spec.kind is StateKind.COHERENT:  # the bSMSS at s = 0; a squeeze the spec carries is ignored
+        return make_bsmss(spec.alpha, SqueezeSpec())
     if spec.kind is StateKind.BSMSS:
         return make_bsmss(spec.alpha, spec.squeeze)
     if spec.kind is StateKind.BTMSS:
@@ -225,18 +216,6 @@ def _attenuate(state, scale):
     eye = np.eye(scale.shape[-1])
     sigma = scale[..., :, None] * state.sigma * scale[..., None, :] + eye - eye * scale[..., None, :] ** 2
     return GaussianState(d=scale * state.d, sigma=sigma)
-
-
-def apply_loss(state, mode, t):
-    """Beamsplitter-with-vacuum loss of transmission t on one mode."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"transmission t={t} outside [0, 1]")
-    m = state.modes
-    if not 0 <= mode < m:
-        raise ValueError(f"mode index {mode} invalid for {m}-mode state")
-    scale = np.ones(2 * m)
-    scale[mode] = scale[mode + m] = math.sqrt(t)
-    return _attenuate(state, scale)
 
 
 def channel_scaling(ch, modes, T):
@@ -282,25 +261,6 @@ def symplectic_eigenvalues(state):
     if not np.allclose(sigma, sigma.conj().T, atol=1e-10):
         raise ValueError("covariance matrix is not Hermitian")
     return symplectic_spectrum(k_matrix(state.modes) @ sigma)
-
-
-def purity_det(state):
-    """|det(k.sigma)|; equals 1 for pure states."""
-    return abs(np.linalg.det(k_matrix(state.modes) @ state.sigma))
-
-
-def check_state(state, tol=SYM_TOL):
-    """Raise if sigma violates Hermiticity, block symmetry or uncertainty."""
-    m = state.modes
-    sigma = state.sigma
-    # lower-left block must be the elementwise conjugate of the upper-right
-    if not np.allclose(sigma[m:, :m], np.conj(sigma[:m, m:]), atol=1e-10):
-        raise ValueError("sigma lacks the complex-form block symmetry")
-    if not np.allclose(state.d[m:], np.conj(state.d[:m]), atol=1e-10):
-        raise ValueError("d lacks the complex-form conjugate symmetry")
-    # symplectic_eigenvalues rejects a non-Hermitian sigma
-    if np.min(symplectic_eigenvalues(state)) < 1.0 - tol:
-        raise ValueError("uncertainty relation violated")
 
 
 def photon_moments(state):

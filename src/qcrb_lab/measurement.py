@@ -197,15 +197,11 @@ def mc_estimate(spec, channel, plan, cfg):
     if slope * slope == math.inf:
         raise ValueError("probe too bright: the mean response's square overflows a double")
 
+    g = 0.0  # direct intensity is the intensity difference at zero gain
     if strategy is Strategy.INTENSITY_DIFF:
         g = plan.gain if plan.gain is not None else optimal_gain(m0, channel)
-        closed_var_n = diff_variance(m0, channel, g)
-        offset = g * channel.eta_a * m0.mean_a
-    else:
-        g = 0.0
-        _, closed_var_n = thinned_stats(m0.mean_p, m0.var_p, t_probe)
-        offset = 0.0
-    closed_var_T = closed_var_n / slope**2
+    offset = g * channel.eta_a * m0.mean_a
+    closed_var_T = diff_variance(m0, channel, g) / slope**2
     se = closed_var_T * math.sqrt(2.0 / (cfg.trials - 1))
     if not se > 0:  # a noiseless count (T = 0 or 1) or an underflow
         raise ValueError("the closed-form variance is 0: the z-score is undefined")

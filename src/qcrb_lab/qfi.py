@@ -19,6 +19,7 @@ from .gaussian import (
     ChannelConfig,
     GaussianState,
     Moments,
+    SqueezeSpec,
     StateKind,
     StateSpec,
     _attenuate,
@@ -38,6 +39,8 @@ EPS_SING = 1e-9
 # channels, s <= 14 and T <= 1 - 1e-6, bright-limit relative errors stayed below 2e-10 up to 1e3,
 # reached 6e-5 by 1e6 and 5e-2 by 1e9; from 2e10 the 4x4 solves went singular.
 SIGMA_MAX = 1e3
+# Largest n fock_qfi_lossy takes: its O(n^2) binomial sum costs 0.16 s here on 2 vCPUs (0.6 s at 2e4).
+FOCK_QFI_N_MAX = 10**4
 
 
 class QFIMethod(Enum):
@@ -98,7 +101,13 @@ def require_amplitude_squeezing(spec):
 def stimulated_photons(spec):
     """Mean photon number of the bright (displacement) part of the probe."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing amplitude: resource_photons refuses it
-        amp = float(abs(make_source(spec).d[0]))
+        return _displacement_photons(make_source(spec))
+
+
+def _displacement_photons(state):
+    """|d_0|^2 of a Gaussian state: the probe mode's stimulated photons."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing amplitude: _input_photons refuses it
+        amp = float(abs(state.d[0]))
     return amp * amp  # a float product overflows to inf without a warning
 
 
@@ -109,22 +118,20 @@ def source_moments(spec):
     return photon_moments(make_source(spec))
 
 
-def resource_photons(spec, channel, bright=True):
+def resource_photons(spec, channel):
     """Probe photons at the system input, n_r = T_p * (photons generated).
 
     A Fock probe counts its fock_n photons; the other kinds count the
-    stimulated photons, or with bright=False the full source mean with
-    the spontaneous photons included.  Raises ValueError when no probe
-    photons reach the system or the detector, where every Lambda and
-    measured variance built on n_r would divide by zero, and when the
-    count overflows a double.
+    stimulated photons.  Raises ValueError when no probe photons reach the
+    system or the detector, where every Lambda and measured variance built
+    on n_r would divide by zero, and when the count overflows a double.
     """
-    if spec.kind is StateKind.FOCK:
-        n = spec.fock_n
-    elif bright:
-        n = stimulated_photons(spec)
-    else:
-        n = float(source_moments(spec).mean_p)
+    n = spec.fock_n if spec.kind is StateKind.FOCK else stimulated_photons(spec)
+    return _input_photons(n, channel)
+
+
+def _input_photons(n, channel):
+    """n_r = T_p * n for n photons generated, refused as resource_photons says."""
     n_r = channel.T_p * n
     if not math.isfinite(n_r):  # first: an overflow may have left nan
         raise ValueError("probe photon number overflows a double")
@@ -149,36 +156,36 @@ class ParamFamily:
     channel: ChannelConfig
 
     def _source(self):
-        """Two-mode embedding of the generated state (aux = vacuum if absent)."""
+        """The generated state and its two-mode embedding (aux = vacuum if absent)."""
         state = make_source(self.spec)
         if state.modes == 2:
-            return state
+            return state, state
         d = np.zeros(4, dtype=complex)
         d[0], d[2] = state.d
         sigma = np.eye(4, dtype=complex)
         sigma[np.ix_([0, 2], [0, 2])] = state.sigma
-        return GaussianState(d=d, sigma=sigma)
+        return state, GaussianState(d=d, sigma=sigma)
 
     def state_at(self, T):
         T = np.asarray(T, dtype=float)
         _require(T, (0.0 <= T) & (T <= 1.0), "T outside [0, 1]")
-        return _attenuate(self._source(), channel_scaling(self.channel, 2, T))
+        return _attenuate(self._source()[1], channel_scaling(self.channel, 2, T))
 
     def derivatives_at(self, T):
         """Analytic d(sigma)/dT and d(d)/dT of the lossy state, for T in (0, 1]."""
         T = np.asarray(T, dtype=float)
         _require(T, (0.0 < T) & (T <= 1.0), "T outside (0, 1]")
-        return self._lossy(T)[1:]
+        return self._lossy(T)[2:]
 
     def _lossy(self, T):
-        """The lossy state, d(sigma)/dT and d(d)/dT at an array T already checked to lie in (0, 1]."""
-        ch, src = self.channel, self._source()
+        """The generated state, the lossy state, d(sigma)/dT and d(d)/dT at an array T already checked in (0, 1]."""
+        ch, (generated, src) = self.channel, self._source()
         D = channel_scaling(ch, 2, T)
         # only the probe factor sqrt(T_p T eta_p) depends on T
         dD = np.multiply.outer(math.sqrt(ch.T_p * ch.eta_p) / (2.0 * np.sqrt(T)), [1.0, 0.0, 1.0, 0.0])
         # d/dT of _attenuate's D sigma D + I - D^2, its factors in the same order
         sigma_dot = dD[..., :, None] * src.sigma * D[..., None, :] + D[..., :, None] * src.sigma * dD[..., None, :]
-        return _attenuate(src, D), sigma_dot - 2.0 * np.eye(4) * (D * dD)[..., None, :], dD * src.d
+        return generated, _attenuate(src, D), sigma_dot - 2.0 * np.eye(4) * (D * dD)[..., None, :], dD * src.d
 
     def derivatives_fd(self, T):
         """Richardson-extrapolated central differences; validation fallback."""
@@ -213,14 +220,14 @@ def qfi_gaussian(family, T, bright_limit=False):
     Evaluates the four-term Gaussian QFI formula over Sigma = k.sigma plus
     the displacement term 2 ddot+ sigma^-1 ddot.  With bright_limit=True
     only the displacement term is kept and the resource count is the
-    stimulated photon number; this reproduces the bright-seed closed
-    forms independently of the seed power.  A float T gives a report of floats; an array T
+    stimulated photon number, not the source's full mean; this reproduces
+    the bright-seed closed forms independently of the seed power.  A float T gives a report of floats; an array T
     gives qfi, qcrb and lam of its shape, each entry the float call's value at that T.
     """
     T = np.asarray(T, dtype=float)
     t = T.reshape(-1)
     _require(t, (0.0 < t) & (t < 1.0), "T must lie in (0, 1)")
-    state, sigma_dot, d_dot = family._lossy(t)
+    generated, state, sigma_dot, d_dot = family._lossy(t)
     big = f"squeezing s={family.spec.squeeze.s:g} puts a covariance entry above SIGMA_MAX = {SIGMA_MAX:g}"
     _require(t, state.sigma.diagonal(axis1=1, axis2=2).real.max(axis=1) <= SIGMA_MAX, big)
     qfi = 2.0 * np.real(d_dot.conj()[:, None, :] @ np.linalg.solve(state.sigma, d_dot[:, :, None]))[:, 0, 0]
@@ -240,7 +247,8 @@ def qfi_gaussian(family, T, bright_limit=False):
         t3 = np.array([_eigen_term(*p) for p in zip(t.tolist(), lam.tolist(), lam_dot.tolist())])
         qfi = (t1 + t2 + t3) / (2.0 * (det_S - 1.0)) + qfi
     qfi = qfi.reshape(T.shape)
-    n_r = resource_photons(family.spec, family.channel, bright=bright_limit)
+    n = _displacement_photons(generated) if bright_limit else float(photon_moments(generated).mean_p)
+    n_r = _input_photons(n, family.channel)  # from the source _lossy built, not a second one
     return _report(qfi if T.ndim else float(qfi), n_r, QFIMethod.GAUSSIAN_GENERAL)
 
 
@@ -248,8 +256,7 @@ def h_factor(s, eta_a):
     """Auxiliary-loss degradation factor for the bTMSS quantum advantage."""
     if not 0.0 <= eta_a <= 1.0:
         raise ValueError("eta_a outside [0, 1]")
-    if s < 0:
-        raise ValueError("s must be >= 0")
+    SqueezeSpec(s=s)  # refuses a negative, non-finite or overflowing s, as for a probe's squeeze
     sh2 = math.sinh(s) ** 2
     return (2.0 * eta_a - 1.0) * (1.0 + 2.0 * sh2) / (1.0 + 2.0 * eta_a * sh2)
 
@@ -338,8 +345,8 @@ def fock_qfi_lossy(n, channel):
     rho_k = C(n,k) p^k (1-p)^(n-k), p = T_p T eta_p, so the QFI reduces
     to sum_k (d rho_k / dT)^2 / rho_k.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= FOCK_QFI_N_MAX:  # also nan; a huge n that StateSpec accepts would never return
+        raise ValueError(f"n must lie in [1, {FOCK_QFI_N_MAX}]: the binomial sum takes O(n^2) time")
     p = channel.probe_transmission
     if not 0.0 < p < 1.0:
         raise ValueError("total probe transmission must lie in (0, 1)")

@@ -19,7 +19,7 @@ from qcrb_lab.gaussian import (
     SqueezeSpec,
     StateKind,
     StateSpec,
-    apply_loss,
+    apply_channel,
     make_bsmss,
     make_btmss,
 )
@@ -216,7 +216,7 @@ def test_criterion_8_edge_behavior():
         ]
         for st in states:
             for t1, t2 in [(0.9, 0.8), (0.4, 0.6), (1.0, 0.3)]:
-                a = apply_loss(apply_loss(st, 0, t1), 0, t2)
-                b = apply_loss(st, 0, t1 * t2)
+                a = apply_channel(apply_channel(st, ChannelConfig(T=t1)), ChannelConfig(T=t2))
+                b = apply_channel(st, ChannelConfig(T=t1 * t2))
                 assert np.max(np.abs(a.sigma - b.sigma)) <= 1e-12
                 assert np.max(np.abs(a.d - b.d)) <= 1e-12

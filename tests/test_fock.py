@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from qcrb_lab import fock
 from qcrb_lab.gaussian import (
@@ -27,6 +27,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def coherent_spec(alpha):
     return StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(alpha))
+
+
+def coherent_amplitudes(alpha, n_max):
+    """Reference expansion of |alpha>: e^{-|alpha|^2/2} alpha^n / sqrt(n!)."""
+    n = np.arange(n_max + 1)
+    return np.exp(-abs(alpha) ** 2 / 2) * alpha**n / np.sqrt(special.factorial(n))
 
 
 def seeded_btmss():
@@ -84,7 +90,7 @@ class TestStateBuilders:
         vec = fock.build_fock_state(spec, n_max=25)
         want = np.outer(
             fock.build_fock_state(coherent_spec(1.2), 25).coeffs,
-            fock._coherent_coeffs(ComplexAmplitude(0.7, 0.5).value, 25),
+            coherent_amplitudes(ComplexAmplitude(0.7, 0.5).value, 25),
         )
         assert np.max(np.abs(vec.coeffs - want)) < 1e-12
 
@@ -93,6 +99,20 @@ class TestStateBuilders:
             fock.build_fock_state(coherent_spec(4.0), n_max=12)
         with pytest.raises(fock.TruncationError):
             fock.build_fock_state(StateSpec(StateKind.FOCK, fock_n=10), n_max=11)
+
+    @pytest.mark.parametrize("alpha", [1.5, ComplexAmplitude(2.2, -0.7).value], ids=["real", "complex"])
+    def test_coherent_is_the_reference_expansion(self, alpha):
+        spec = StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude.from_complex(alpha), squeeze=SqueezeSpec(s=0.9))
+        vec = fock.build_fock_state(spec, n_max=35)
+        assert np.max(np.abs(vec.coeffs - coherent_amplitudes(alpha, 35))) < 1e-15
+
+    @pytest.mark.parametrize("kind", [StateKind.COHERENT, StateKind.BSMSS])
+    def test_overflowing_expansion_refused(self, kind):
+        # alpha^n / sqrt(n!) stays finite to n = 90 but its norm overflows: the coefficients
+        # come back all zero, and only the renormalization's 0/0 lets _check_tail see it
+        spec = StateSpec(kind, alpha=ComplexAmplitude(355.0))
+        with pytest.raises(fock.TruncationError, match="nan"):
+            fock.build_fock_state(spec, n_max=90)
 
     def test_fock_state_vector(self):
         vec = fock.build_fock_state(StateSpec(StateKind.FOCK, fock_n=3), n_max=10)
@@ -119,7 +139,7 @@ class TestLossChannel:
         alpha, t = 1.4, 0.6
         vec = fock.build_fock_state(coherent_spec(alpha), n_max=30)
         rho = fock.apply_loss_density(fock.pure_density(vec), 0, t)
-        out = fock._coherent_coeffs(alpha * np.sqrt(t), 30)
+        out = coherent_amplitudes(alpha * np.sqrt(t), 30)
         want = np.outer(out, out.conj())
         assert np.max(np.abs(rho.matrix - want)) < 1e-12
 

@@ -8,19 +8,16 @@ from qcrb_lab.gaussian import (
     S_MAX,
     ChannelConfig,
     ComplexAmplitude,
+    GaussianState,
     SqueezeSpec,
     StateKind,
     StateSpec,
     apply_channel,
-    apply_loss,
-    check_state,
     k_matrix,
     make_bsmss,
     make_btmss,
-    make_coherent,
     make_source,
     photon_moments,
-    purity_det,
     symplectic_eigenvalues,
     symplectic_spectrum,
 )
@@ -29,9 +26,29 @@ from qcrb_lab.qfi import ParamFamily
 SINH2_1 = 1.3810978455418157  # sinh(1)^2
 
 
+def coherent(alpha):
+    return make_source(StateSpec(StateKind.COHERENT, alpha=alpha))
+
+
+def lossy(state, mode, t):
+    """Reference loss of transmission t on one mode, as matrices: D sigma D + I - D^2, D d."""
+    m = state.modes
+    D = np.eye(2 * m)
+    D[mode, mode] = D[mode + m, mode + m] = np.sqrt(t)
+    return GaussianState(d=D @ state.d, sigma=D @ state.sigma @ D + np.eye(2 * m) - D @ D)
+
+
+def assert_physical(state):
+    """Complex-form block symmetry of sigma and d, and symplectic eigenvalues >= 1."""
+    m = state.modes
+    assert np.allclose(state.sigma[m:, :m], np.conj(state.sigma[:m, m:]), atol=1e-10)
+    assert np.allclose(state.d[m:], np.conj(state.d[:m]), atol=1e-10)
+    assert np.min(symplectic_eigenvalues(state)) >= 1.0 - 1e-9  # it also refuses a non-Hermitian sigma
+
+
 def random_states():
     states = [
-        make_coherent(ComplexAmplitude(2.0, 0.4)),
+        coherent(ComplexAmplitude(2.0, 0.4)),
         make_bsmss(ComplexAmplitude(1.5, -0.8), SqueezeSpec(s=0.9, theta=1.2)),
         make_btmss(
             ComplexAmplitude(1.0, 0.5),
@@ -95,26 +112,33 @@ class TestAmplitudes:
 
 class TestConstructors:
     def test_vacuum(self):
-        st = make_coherent(ComplexAmplitude(0))
+        st = coherent(ComplexAmplitude(0))
         assert np.allclose(st.d, 0)
         assert np.allclose(st.sigma, np.eye(2))
 
     def test_coherent_poisson(self):
-        st = make_coherent(ComplexAmplitude(2.0))
+        st = coherent(ComplexAmplitude(2.0))
         m = photon_moments(st)
         assert m.mean_p == pytest.approx(4.0)
         assert m.var_p == pytest.approx(4.0)  # Fano factor 1
 
     def test_coherent_pure(self):
-        st = make_coherent(ComplexAmplitude(3.3, 0.2))
-        assert purity_det(st) == pytest.approx(1.0, abs=1e-12)
+        st = coherent(ComplexAmplitude(3.3, 0.2))
+        # |det(k.sigma)| = prod(lambda^2): 1e-12 on it is 5e-13 on one lambda
+        assert symplectic_eigenvalues(st) == pytest.approx([1.0], abs=5e-13)
 
     def test_bsmss_zero_squeeze_is_coherent(self):
         a = ComplexAmplitude(1.7, 0.3)
         st = make_bsmss(a, SqueezeSpec(s=0.0, theta=0.9))
-        ref = make_coherent(a)
-        assert np.array_equal(st.d, ref.d)
-        assert np.array_equal(st.sigma, ref.sigma)
+        assert np.array_equal(st.d, [a.value, np.conj(a.value)])
+        assert np.array_equal(st.sigma, np.eye(2))
+
+    @pytest.mark.parametrize("squeeze", [SqueezeSpec(s=1.3, theta=0.4), SqueezeSpec(s=0.0, theta=2.0)])
+    def test_coherent_source_ignores_a_squeeze_it_carries(self, squeeze):
+        a = ComplexAmplitude(1.7, -2.3)
+        st = make_source(StateSpec(StateKind.COHERENT, alpha=a, squeeze=squeeze))
+        assert np.array_equal(st.d, [a.value, np.conj(a.value)])
+        assert np.array_equal(st.sigma, np.eye(2))
 
     @pytest.mark.parametrize("theta", [0.0, 0.4, np.pi / 2, np.pi, -2.0])
     def test_bsmss_displacement_matches_the_generation_formula(self, theta):
@@ -176,42 +200,35 @@ class TestConstructors:
 class TestLoss:
     def test_identity_channel(self):
         for st in random_states():
-            out = apply_loss(st, 0, 1.0)
+            out = apply_channel(st, ChannelConfig(T=1.0))
             assert np.allclose(out.d, st.d)
             assert np.allclose(out.sigma, st.sigma)
 
     def test_full_loss_gives_vacuum(self):
         st = make_bsmss(ComplexAmplitude(2.0), SqueezeSpec(s=1.0))
-        out = apply_loss(st, 0, 0.0)
+        out = apply_channel(st, ChannelConfig(T=0.0))
         assert np.allclose(out.d, 0)
         assert np.allclose(out.sigma, np.eye(2))
 
     def test_composition_law(self):
         for st in random_states():
             for t1, t2 in [(0.9, 0.7), (0.3, 0.5), (1.0, 0.2)]:
-                a = apply_loss(apply_loss(st, 0, t1), 0, t2)
-                b = apply_loss(st, 0, t1 * t2)
+                a = apply_channel(apply_channel(st, ChannelConfig(T=t1)), ChannelConfig(T=t2))
+                b = apply_channel(st, ChannelConfig(T=t1 * t2))
                 assert np.max(np.abs(a.sigma - b.sigma)) < 1e-12
                 assert np.max(np.abs(a.d - b.d)) < 1e-12
 
-    def test_invalid_arguments(self):
-        st = make_coherent(ComplexAmplitude(1))
-        with pytest.raises(ValueError):
-            apply_loss(st, 0, 1.5)
-        with pytest.raises(ValueError):
-            apply_loss(st, 2, 0.5)
-
     def test_channel_scales_coherent_mean(self):
         ch = ChannelConfig(T=0.6, T_p=0.9, eta_p=0.8)
-        st = apply_channel(make_coherent(ComplexAmplitude(2.0)), ch)
+        st = apply_channel(coherent(ComplexAmplitude(2.0)), ch)
         assert photon_moments(st).mean_p == pytest.approx(0.6 * 0.9 * 0.8 * 4.0)
 
     def test_channel_composes_the_probe_losses(self):
         ch = ChannelConfig(T=0.6, T_p=0.9, eta_p=0.8, eta_a=0.7)
         for st in random_states():
-            seq = apply_loss(apply_loss(apply_loss(st, 0, ch.T_p), 0, ch.T), 0, ch.eta_p)
+            seq = lossy(lossy(lossy(st, 0, ch.T_p), 0, ch.T), 0, ch.eta_p)
             if st.modes == 2:
-                seq = apply_loss(seq, 1, ch.eta_a)
+                seq = lossy(seq, 1, ch.eta_a)
             out = apply_channel(st, ch)
             assert np.max(np.abs(out.sigma - seq.sigma)) < 1e-14
             assert np.max(np.abs(out.d - seq.d)) < 1e-14
@@ -224,10 +241,10 @@ class TestLoss:
 
     def test_operations_preserve_state_structure(self):
         for st in random_states():
-            check_state(st)
-            check_state(apply_loss(st, 0, 0.37))
+            assert_physical(st)
+            assert_physical(apply_channel(st, ChannelConfig(T=0.37)))
             if st.modes == 2:
-                check_state(apply_channel(st, ChannelConfig(T=0.5, eta_a=0.7)))
+                assert_physical(apply_channel(st, ChannelConfig(T=0.5, eta_a=0.7)))
 
 
 class TestSymplectic:
@@ -237,8 +254,8 @@ class TestSymplectic:
 
     def test_pure_tmss_after_system_loss(self):
         s, T = 0.9, 0.4
-        st = apply_loss(
-            make_btmss(ComplexAmplitude(1), ComplexAmplitude(0), SqueezeSpec(s)), 0, T
+        st = apply_channel(
+            make_btmss(ComplexAmplitude(1), ComplexAmplitude(0), SqueezeSpec(s)), ChannelConfig(T=T)
         )
         lam = symplectic_eigenvalues(st)
         assert lam[0] == pytest.approx(1.0, abs=1e-10)
@@ -251,14 +268,13 @@ class TestSymplectic:
 
     def test_purity_before_loss(self):
         for st in random_states():
-            assert purity_det(st) == pytest.approx(1.0, abs=1e-9)
+            # pure: every symplectic eigenvalue 1; 2.5e-10 each keeps |det(k.sigma)| of two modes within 1e-9 of 1
+            assert symplectic_eigenvalues(st) == pytest.approx(np.ones(st.modes), abs=2.5e-10)
 
     def test_non_hermitian_rejected(self):
         st = random_states()[2]
         bad = st.sigma.copy()
         bad[0, 1] += 0.5
-        from qcrb_lab.gaussian import GaussianState
-
         with pytest.raises(ValueError):
             symplectic_eigenvalues(GaussianState(d=st.d, sigma=bad))
 

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from qcrb_lab import qfi
 from qcrb_lab.gaussian import (
     ChannelConfig,
     ComplexAmplitude,
@@ -18,6 +19,7 @@ from qcrb_lab.gaussian import (
     symplectic_eigenvalues,
 )
 from qcrb_lab.qfi import (
+    FOCK_QFI_N_MAX,
     SIGMA_MAX,
     ParamFamily,
     QFIMethod,
@@ -31,6 +33,7 @@ from qcrb_lab.qfi import (
     lossy_symplectic_closed_form,
     qfi_btmss_full,
     qfi_gaussian,
+    source_moments,
     stimulated_photons,
 )
 
@@ -124,6 +127,12 @@ class TestClosedFormsLossy:
         assert h_factor(1.3, 0.5) == pytest.approx(0.0, abs=1e-15)
         assert h_factor(0.0, 0.7) == pytest.approx(2 * 0.7 - 1.0)
 
+    @pytest.mark.parametrize("s", [np.nan, np.inf, 400.0, 355.0 * (1 + 1e-15), -0.1])
+    def test_h_factor_refuses_a_squeeze_outside_its_domain(self, s):
+        # unchecked, nan and inf give nan and 400 raises OverflowError
+        with pytest.raises(ValueError, match="squeezing parameter s"):
+            h_factor(s, 0.9)
+
     def test_coherent_lam_divides_by_detection_efficiency(self):
         ch = ChannelConfig(T=0.5, T_p=0.8, eta_p=0.9)
         rep = lambda_lossy(bright(StateKind.COHERENT), ch)
@@ -188,6 +197,20 @@ class TestGaussianGeneral:
             StateKind.BSMSS, alpha=ComplexAmplitude(1000.0), squeeze=SqueezeSpec(s=20.0)
         )
         assert stimulated_photons(spec) == pytest.approx(1e6 * math.exp(-40.0), rel=1e-12)
+
+    @pytest.mark.parametrize("bright_limit", [True, False], ids=["bright", "full"])
+    @pytest.mark.parametrize("kind", [StateKind.COHERENT, StateKind.BSMSS, StateKind.BTMSS])
+    def test_counts_the_photons_of_the_one_source_it_builds(self, monkeypatch, kind, bright_limit):
+        spec = StateSpec(
+            kind, alpha=ComplexAmplitude(2.0, 0.3), beta=ComplexAmplitude(0.5), squeeze=SqueezeSpec(s=0.8, theta=1.0)
+        )
+        ch = ChannelConfig(T_p=0.9, eta_p=0.95, eta_a=0.85)
+        n = stimulated_photons(spec) if bright_limit else float(source_moments(spec).mean_p)
+        builds = []
+        monkeypatch.setattr(qfi, "make_source", lambda spec: builds.append(spec) or make_source(spec))
+        rep = qfi_gaussian(ParamFamily(spec, ch), np.array([0.3, 0.6]), bright_limit=bright_limit)
+        assert len(builds) == 1
+        assert rep.n_resource == ch.T_p * n
 
     def test_full_qfi_below_maximum(self):
         spec = bright(StateKind.BTMSS, s=1.0, mag=50.0)
@@ -371,6 +394,14 @@ class TestFockQFI:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             fock_qfi_lossy(0, ChannelConfig(T=0.5))
+
+    def test_n_above_the_cap_refused_before_the_binomial_sum(self):
+        # the sum takes O(n^2) time: a huge n that StateSpec accepts would never return
+        ch = ChannelConfig(T=0.5, T_p=0.9)
+        want = lambda_lossy(StateSpec(StateKind.FOCK, fock_n=FOCK_QFI_N_MAX), ch)
+        assert fock_qfi_lossy(FOCK_QFI_N_MAX, ch).lam == pytest.approx(want.lam, rel=1e-9)
+        with pytest.raises(ValueError, match="binomial sum"):
+            fock_qfi_lossy(FOCK_QFI_N_MAX + 1, ch)
 
     def test_non_integral_n_refused_before_the_binomial_sum(self):
         with pytest.raises(ValueError, match="fock_n"):

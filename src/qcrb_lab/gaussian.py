@@ -154,10 +154,11 @@ def make_bsmss(alpha, squeeze):
     s, th = squeeze.s, squeeze.theta
     a = alpha.value
     e = np.exp(1j * th)
+    c2, s2 = np.cosh(2 * s), np.sinh(2 * s)
     sigma = np.array(
         [
-            [np.cosh(2 * s), -e * np.sinh(2 * s)],
-            [-np.conj(e) * np.sinh(2 * s), np.cosh(2 * s)],
+            [c2, -e * s2],
+            [-np.conj(e) * s2, c2],
         ],
         dtype=complex,
     )
@@ -234,25 +235,23 @@ def apply_channel(state, ch):
     return _attenuate(state, channel_scaling(ch, state.modes, ch.T))
 
 
-def symplectic_spectrum(S, S_dot=None):
-    """Positive eigenvalues of S = k.sigma, ascending; with S_dot also their derivatives.
+def williamson(sigma):
+    """Williamson decomposition of covariance matrices stacked over leading axes.
 
-    S and S_dot may be (..., 2m, 2m) stacks; the results are (..., m).
-    The eigenvalues of k.sigma come in +/- pairs.  The derivative of a
-    simple eigenvalue is the diagonal of V^-1 S_dot V for the right
-    eigenvectors V: the rows of V^-1 are the left eigenvectors,
-    normalized against the right ones.
+    With the Cholesky factor sigma = L L+ and the Hermitian eigendecomposition
+    L+ k L = U diag(lam) U+, returns lam and W = L^-+ U, so that W+ sigma W = 1
+    and W^-1 k W^-+ = diag(lam).  By Sylvester's law of inertia lam ascends
+    as -nu then +nu over the symplectic eigenvalues nu of k.sigma: for
+    (..., 2m, 2m) inputs lam is (..., 2m), lam[..., m:] the nu ascending.
+    Raises ValueError unless every sigma is positive definite.
     """
-    w, V = np.linalg.eig(S)
-    m = w.shape[-1] // 2
-    key = w.real
-    if S_dot is not None:
-        # complex numbers sort by real part first: each eigenvalue keeps its derivative
-        key = key + 1j * np.diagonal(np.linalg.solve(V, S_dot @ V), axis1=-2, axis2=-1).real
-    key = np.sort(key)
-    if not ((key.real[..., m - 1] <= 0) & (key.real[..., m] > 0)).all():
-        raise ValueError("symplectic spectrum does not split into +/- pairs")
-    return key[..., m:] if S_dot is None else (key.real[..., m:], key.imag[..., m:])
+    try:
+        L = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance matrix is not positive definite") from None
+    Lh = L.conj().swapaxes(-1, -2)
+    lam, U = np.linalg.eigh((Lh * k_matrix(sigma.shape[-1] // 2).diagonal()) @ L)
+    return lam, np.linalg.solve(Lh, U)
 
 
 def symplectic_eigenvalues(state):
@@ -260,7 +259,7 @@ def symplectic_eigenvalues(state):
     sigma = state.sigma
     if not np.allclose(sigma, sigma.conj().T, atol=1e-10):
         raise ValueError("covariance matrix is not Hermitian")
-    return symplectic_spectrum(k_matrix(state.modes) @ sigma)
+    return williamson(sigma)[0][state.modes:]
 
 
 def photon_moments(state):

@@ -1,13 +1,12 @@
 """Quantum Fisher information for transmission estimation.
 
-Computes the general Gaussian QFI (four-term formula over the symplectic
-form of the covariance matrix plus a displacement term), the closed-form
+Computes the general Gaussian QFI (the SLD sum over a Williamson
+decomposition of the covariance matrix plus a displacement term), the closed-form
 estimation functions for coherent / bright squeezed / Fock probes with
 and without external losses, the lossy Fock QFI from its binomial density
 matrix, and the maximum Fisher bound.
 """
 
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -24,17 +23,16 @@ from .gaussian import (
     StateSpec,
     _attenuate,
     channel_scaling,
-    k_matrix,
     make_source,
     photon_moments,
-    symplectic_spectrum,
+    williamson,
 )
 
-log = logging.getLogger(__name__)
-
-# Symplectic eigenvalues within EPS_SING of 1 have their derivative term
-# dropped; the correction factor vanishes for the states handled here.
-EPS_SING = 1e-9
+# Pairs of Williamson modes with |lam_i lam_j - 1| <= PURE_TOL count as pure and leave qfi_gaussian's SLD
+# sum, which refuses a point where sigma's derivative reaches them.  Rounding leaves a pure pair's
+# P - 1 up to 6e-11 near SIGMA_MAX: over 4,000 lossless bTMSS points there, 5e-12 dropped and refused
+# 12 that the kept sum answers within 2e-11, and 1e-12 refused none.
+PURE_TOL = 1e-12
 # Largest covariance entry (1 + twice a mode's noise photons) that qfi_gaussian takes. Over random
 # channels, s <= 14 and T <= 1 - 1e-6, bright-limit relative errors stayed below 2e-10 up to 1e3,
 # reached 6e-5 by 1e6 and 5e-2 by 1e9; from 2e10 the 4x4 solves went singular.
@@ -68,12 +66,12 @@ def _report(qfi, n_resource, method):
 
 
 def fisher_max(n_resource, T):
-    """Upper bound n_r / (T - T^2) on the QFI of any probe state."""
+    """Upper bound n_r / (T (1 - T)) on the QFI of any probe state."""
     if not 0.0 < T < 1.0:
         raise ValueError("maximum Fisher bound diverges at T in {0, 1}")
     if not 0 < n_resource < math.inf:
         raise ValueError("n_resource must be finite and > 0")
-    return n_resource / (T - T * T)
+    return n_resource / (T * (1.0 - T))
 
 
 def big_theta(spec):
@@ -142,9 +140,14 @@ def _input_photons(n, channel):
     return n_r
 
 
-def _require(T, ok, why):
-    """Raise ValueError(why) naming the first T where ok fails (T and ok of one shape)."""
+def _require(T, ok, why, size=None):
+    """Raise ValueError(why) naming the first T where ok fails (T, ok and size of one shape).
+
+    Given size, why is a format string for its value at that T.
+    """
     if not ok.all():
+        if size is not None:
+            why = why.format(float(size[~ok][0]))
         raise ValueError(f"{why} (at T={float(T[~ok][0])!r})")
 
 
@@ -196,30 +199,18 @@ class ParamFamily:
         return (4 * s2 - s1) / 3.0, (4 * d2 - d1) / 3.0
 
 
-def _eigen_term(T, lam, lam_dot):
-    """The symplectic-eigenvalue term of the Gaussian QFI at one T, from floats."""
-
-    def term(l, ld):
-        if abs(l - 1.0) < EPS_SING:
-            dropped = ld * ld / max(l**4 - 1.0, 1e-300)
-            log.debug("dropping singular eigenvalue term of magnitude %.3e", dropped)
-            return 0.0
-        return ld * ld / (l**4 - 1.0)
-
-    if all(abs(l - 1.0) < EPS_SING for l in lam):
-        raise ValueError(
-            "both symplectic eigenvalues at 1 with varying sigma; the "
-            f"dropped-correction regime does not cover this point (at T={T!r})"
-        )
-    return 4.0 * (lam[0] ** 2 - lam[1] ** 2) * (term(lam[1], lam_dot[1]) - term(lam[0], lam_dot[0]))
-
-
 def qfi_gaussian(family, T, bright_limit=False):
     """QFI of a lossy Gaussian probe family, elementwise over T.
 
-    Evaluates the four-term Gaussian QFI formula over Sigma = k.sigma plus
-    the displacement term 2 ddot+ sigma^-1 ddot.  With bright_limit=True
-    only the displacement term is kept and the resource count is the
+    With the Williamson decomposition W+ sigma W = 1, W^-1 k W^-+ = diag(lam)
+    and Z = W+ sigma_dot W, the covariance term is the SLD sum
+    1/2 sum_ij |Z_ij|^2 P/(P - 1), P = lam_i lam_j, over the pairs with
+    |P - 1| > PURE_TOL; the displacement term is 2 ddot+ sigma^-1 ddot.
+    It refuses a point where sigma_dot reaches a dropped pair, or where
+    rounding in lam may move the sum by more than 1e-8 of the QFI, naming
+    the size and the first such T.
+
+    With bright_limit=True only the displacement term is kept and the resource count is the
     stimulated photon number, not the source's full mean; this reproduces
     the bright-seed closed forms independently of the seed power.  A float T gives a report of floats; an array T
     gives qfi, qcrb and lam of its shape, each entry the float call's value at that T.
@@ -229,23 +220,24 @@ def qfi_gaussian(family, T, bright_limit=False):
     _require(t, (0.0 < t) & (t < 1.0), "T must lie in (0, 1)")
     generated, state, sigma_dot, d_dot = family._lossy(t)
     big = f"squeezing s={family.spec.squeeze.s:g} puts a covariance entry above SIGMA_MAX = {SIGMA_MAX:g}"
-    _require(t, state.sigma.diagonal(axis1=1, axis2=2).real.max(axis=1) <= SIGMA_MAX, big)
+    sigma_max = state.sigma.diagonal(axis1=1, axis2=2).real.max(axis=1)
+    _require(t, sigma_max <= SIGMA_MAX, big)
     qfi = 2.0 * np.real(d_dot.conj()[:, None, :] @ np.linalg.solve(state.sigma, d_dot[:, :, None]))[:, 0, 0]
     if not bright_limit and sigma_dot.any():  # sigma is constant for a coherent probe or s = 0
-        k = k_matrix(2)
-        S, S_dot = k @ state.sigma, k @ sigma_dot
-        det_S = np.linalg.det(S).real
-        pure = "state is pure but sigma varies with T; the mixed-state Gaussian QFI formula does not apply"
-        _require(t, det_S - 1.0 >= 1e-12, pure)
-        M = np.linalg.solve(S, S_dot)
-        S2 = np.eye(4) + S @ S
-        N = np.linalg.solve(S2, S_dot)
-        lam, lam_dot = symplectic_spectrum(S, S_dot)
-        t1 = det_S * np.einsum("nij,nji->n", M, M).real  # det(S) tr(M M)
-        t2 = np.sqrt(np.linalg.det(S2).real) * np.einsum("nij,nji->n", N, N).real
-        # per point in floats: numpy's per-call cost on two eigenvalues outweighs the work
-        t3 = np.array([_eigen_term(*p) for p in zip(t.tolist(), lam.tolist(), lam_dot.tolist())])
-        qfi = (t1 + t2 + t3) / (2.0 * (det_S - 1.0)) + qfi
+        lam, W = williamson(state.sigma)
+        Z = np.abs(W.conj().swapaxes(1, 2) @ sigma_dot @ W)  # |Z_ij|
+        P = lam[:, :, None] * lam[:, None, :]
+        kept = np.abs(P - 1.0) > PURE_TOL
+        gap = np.where(kept, P - 1.0, 1.0)
+        dropped = np.where(kept, 0.0, Z).max(axis=(1, 2)) / Z.max(axis=(1, 2))
+        why = "sigma varies on a pair of pure modes: the dropped pair carries {:.3e} of the largest derivative"
+        _require(t, dropped <= 1e-12, why, dropped)
+        term = np.where(kept, 0.5 * Z * Z * P / gap, 0.0)
+        qfi = qfi + term.sum(axis=(1, 2))
+        # a rounding error of about eps * max sigma in each lam moves each term by that over |P - 1|
+        err = 3e-16 * sigma_max * np.abs(term / gap).sum(axis=(1, 2)) / qfi
+        why = "modes too close to pure: rounding may move the QFI by {:.3e} of itself"
+        _require(t, err <= 1e-8, why, err)
     qfi = qfi.reshape(T.shape)
     n = _displacement_photons(generated) if bright_limit else float(photon_moments(generated).mean_p)
     n_r = _input_photons(n, family.channel)  # from the source _lossy built, not a second one
@@ -317,7 +309,8 @@ def qfi_btmss_full(alpha, beta, squeeze, T):
         - alpha.magnitude * beta.magnitude * math.cos(theta_c) * math.sinh(2 * s)
     )
     sech = 1.0 / math.cosh(2.0 * s)
-    return n_vac / (T - T * T) + n_bright / (T - T * T + T * T * sech)
+    # T (1 - T) keeps its digits as T -> 1, where T - T^2 cancels
+    return n_vac / (T * (1.0 - T)) + n_bright / (T * (1.0 - T) + T * T * sech)
 
 
 def lossy_symplectic_closed_form(squeeze, channel):

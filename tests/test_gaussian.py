@@ -19,7 +19,7 @@ from qcrb_lab.gaussian import (
     make_source,
     photon_moments,
     symplectic_eigenvalues,
-    symplectic_spectrum,
+    williamson,
 )
 from qcrb_lab.qfi import ParamFamily
 
@@ -278,6 +278,16 @@ class TestSymplectic:
         with pytest.raises(ValueError):
             symplectic_eigenvalues(GaussianState(d=st.d, sigma=bad))
 
+    def test_williamson_diagonalizes_sigma_and_k(self):
+        channels = [ChannelConfig(T=1.0), ChannelConfig(T=0.3, T_p=0.8, eta_p=0.7, eta_a=0.6)]
+        for st in [apply_channel(st, ch) for st in random_states() for ch in channels]:
+            lam, W = williamson(st.sigma)
+            W_inv = np.linalg.inv(W)
+            assert np.allclose(W.conj().T @ st.sigma @ W, np.eye(2 * st.modes), rtol=0, atol=1e-12)
+            assert np.allclose(W_inv @ k_matrix(st.modes) @ W_inv.conj().T, np.diag(lam), rtol=0, atol=1e-12)
+            assert np.array_equal(lam, np.sort(lam))
+            assert np.allclose(lam[: st.modes], -lam[st.modes :][::-1], rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize(
         "channel",
         [
@@ -287,7 +297,8 @@ class TestSymplectic:
         ],
     )
     def test_spectrum_and_derivative_match_scipy(self, channel):
-        # scipy's left and right eigenvectors give the first-order shift of each eigenvalue
+        # W's columns are right eigenvectors of k.sigma, so lam_i (W+ sigma_dot W)_ii is lam_i's first-order
+        # shift; scipy's left and right eigenvectors give it independently
         from scipy import linalg
 
         spec = StateSpec(
@@ -297,35 +308,36 @@ class TestSymplectic:
             squeeze=SqueezeSpec(s=0.9, theta=2.0),
         )
         family = ParamFamily(spec, channel)
+        sigma, sigma_dot = family.state_at(channel.T).sigma, family.derivatives_at(channel.T)[0]
         k = k_matrix(2)
-        S = k @ family.state_at(channel.T).sigma
-        S_dot = k @ family.derivatives_at(channel.T)[0]
-        lam, lam_dot = symplectic_spectrum(S, S_dot)
-        w, vl, vr = linalg.eig(S, left=True, right=True)
+        w, vl, vr = linalg.eig(k @ sigma, left=True, right=True)
         pos = [i for i in np.argsort(w.real) if w[i].real > 0]
-        want_dot = [(vl[:, i].conj() @ S_dot @ vr[:, i] / (vl[:, i].conj() @ vr[:, i])).real for i in pos]
-        assert np.allclose(lam, w.real[pos], rtol=1e-13)
-        assert np.allclose(lam_dot, want_dot, rtol=1e-12, atol=1e-14)
-        assert np.array_equal(symplectic_spectrum(S), lam)
+        want_dot = [(vl[:, i].conj() @ k @ sigma_dot @ vr[:, i] / (vl[:, i].conj() @ vr[:, i])).real for i in pos]
+        lam, W = williamson(sigma)
+        lam_dot = lam * np.diagonal(W.conj().T @ sigma_dot @ W).real
+        assert np.allclose(lam[2:], w.real[pos], rtol=1e-13, atol=0)
+        assert np.allclose(lam_dot[2:], want_dot, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(symplectic_eigenvalues(GaussianState(d=np.zeros(4), sigma=sigma)), lam[2:])
 
     def test_stacked_spectrum_equals_one_call_per_matrix(self):
-        k = k_matrix(2)
         spec = StateSpec(
             StateKind.BTMSS, alpha=ComplexAmplitude(2.0, 0.4), squeeze=SqueezeSpec(s=0.9, theta=2.0)
         )
         family = ParamFamily(spec, ChannelConfig(T_p=0.9, eta_p=0.95, eta_a=0.8))
         T = np.array([[0.2, 0.45], [0.7, 0.95]])
-        S, S_dot = k @ family.state_at(T).sigma, k @ family.derivatives_at(T)[0]
-        lam, lam_dot = symplectic_spectrum(S, S_dot)
-        assert lam.shape == lam_dot.shape == (2, 2, 2)
+        sigma = family.state_at(T).sigma
+        lam, W = williamson(sigma)
+        assert lam.shape == (2, 2, 4) and W.shape == (2, 2, 4, 4)
         for i in np.ndindex(T.shape):
-            one, one_dot = symplectic_spectrum(S[i], S_dot[i])
-            assert np.array_equal(lam[i], one) and np.array_equal(lam_dot[i], one_dot)
-            assert np.array_equal(symplectic_spectrum(S)[i], one)
+            one, one_W = williamson(sigma[i])
+            assert np.array_equal(lam[i], one) and np.array_equal(W[i], one_W)
 
     def test_spectrum_without_pairs_rejected(self):
-        with pytest.raises(ValueError, match="pairs"):
-            symplectic_spectrum(np.eye(4))
+        # a sigma that is not positive definite: k.sigma has three negative eigenvalues here
+        with pytest.raises(ValueError, match="not positive definite"):
+            williamson(np.diag([-1.0, 1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="not positive definite"):
+            williamson(np.stack([np.eye(4), np.diag([1.0, 1.0, 0.0, 1.0])]))
 
 
 class TestMoments:

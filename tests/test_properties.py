@@ -21,7 +21,7 @@ from qcrb_lab.gaussian import (
     StateSpec,
     k_matrix,
     symplectic_eigenvalues,
-    symplectic_spectrum,
+    williamson,
 )
 from qcrb_lab.measurement import transmission_var
 from qcrb_lab.qfi import ParamFamily, h_factor, lambda_lossy, qfi_btmss_full, qfi_gaussian
@@ -139,13 +139,52 @@ def test_spectrum_derivative_equals_a_central_difference(spec, channel, T, eta_a
     # the two eigenvalues cross where probe and auxiliary see equal transmissions
     assume(abs(channel.probe_transmission - eta_a) > 1e-3)
     family = ParamFamily(spec, channel)
-    k = k_matrix(2)
     sigma_dot, _ = family.derivatives_at(T)
-    lam, lam_dot = symplectic_spectrum(k @ family.state_at(T).sigma, k @ sigma_dot)
+    # W's columns are right eigenvectors of k.sigma: lam_i (W+ sigma_dot W)_ii is the derivative of lam_i
+    lam, W = williamson(family.state_at(T).sigma)
+    lam_dot = (lam * np.diagonal(W.conj().T @ sigma_dot @ W).real)[2:]
     h = 1e-5
     fd = (symplectic_eigenvalues(family.state_at(T + h)) - symplectic_eigenvalues(family.state_at(T - h))) / (2 * h)
     # the difference carries a rounding error of about eps * lam / h
     assert np.allclose(lam_dot, fd, rtol=1e-6, atol=1e3 * np.finfo(float).eps * lam.max() / h)
+
+
+def kronecker_qfi(sigma, d, sigma_dot, d_dot):
+    """Gaussian QFI 1/2 vec(sigma_dot)+ (conj(sigma) x sigma - k x k)^-1 vec(sigma_dot) + 2 d_dot+ sigma^-1 d_dot.
+
+    The Kronecker matrix is singular where a mode is pure: every mode must be mixed.
+    """
+    k = k_matrix(len(d) // 2)
+    vec = sigma_dot.reshape(-1, order="F")
+    cov = vec.conj() @ np.linalg.solve(np.kron(sigma.conj(), sigma) - np.kron(k, k), vec)
+    return float(np.real(0.5 * cov + 2.0 * d_dot.conj() @ np.linalg.solve(sigma, d_dot)))
+
+
+@PROPERTY
+@given(
+    st.sampled_from((StateKind.BSMSS, StateKind.BTMSS)), st.floats(0.0, 30.0), st.floats(0.0, 3.0), phases,
+    phases, st.floats(0.05, 2.0), phases, st.floats(0.05, 0.95), st.floats(0.5, 1.0), st.floats(0.5, 1.0),
+    st.floats(0.05, 0.95),
+)
+def test_full_gaussian_qfi_equals_the_kronecker_form_on_mixed_states(
+    kind, a, b, phase_a, phase_b, s, theta, T, T_p, eta_p, eta_a
+):
+    # Mixed: nu^2 - 1 stays above ~1e-4 for every lossy mode here.  Nearer a pure mode both forms lose
+    # about eps / (nu^2 - 1) of the QFI (2e-10 at 2e-6); test_qfi checks that regime at 1e-8 against
+    # the closed form.
+    spec = StateSpec(
+        kind,
+        alpha=ComplexAmplitude(a, phase_a),
+        beta=ComplexAmplitude(b, phase_b),
+        squeeze=SqueezeSpec(s=s, theta=theta),
+    )
+    family = ParamFamily(spec, ChannelConfig(T=T, T_p=T_p, eta_p=eta_p, eta_a=eta_a))
+    state, (sigma_dot, d_dot) = family.state_at(T), family.derivatives_at(T)
+    # a bSMSS's vacuum auxiliary mode is pure: the Kronecker form holds on the probe mode alone
+    modes = [0, 2] if kind is StateKind.BSMSS else [0, 1, 2, 3]
+    block = np.ix_(modes, modes)
+    want = kronecker_qfi(state.sigma[block], state.d[modes], sigma_dot[block], d_dot[modes])
+    assert math.isclose(qfi_gaussian(family, T).qfi, want, rel_tol=1e-10)
 
 
 @st.composite

@@ -41,6 +41,15 @@ from qcrb_lab.qfi import (
 LAM_BTMSS_T99_S2 = 0.045790275503560171
 LAM_BSMSS_T99_S2 = 0.02785115767484837
 H_S1_ETA09 = 0.86338989354909249
+# 1 - T = 1e-8 costs this lossless bTMSS's Gaussian QFI its digits
+EXACT_BTMSS = StateSpec(
+    StateKind.BTMSS,
+    alpha=ComplexAmplitude(3.0),
+    beta=ComplexAmplitude(1.0),
+    squeeze=SqueezeSpec(s=1.0, theta=np.pi),
+)
+# Frozen with 60-digit extended-precision arithmetic: its exact QFI at T = 1 - 1e-6 and 1 - 1e-8.
+QFI_EXACT_BTMSS_NEAR_1 = {1 - 1e-6: 1381225.9806186130189, 1 - 1e-8: 138109911.99554943128}
 
 
 def bright(kind, s=2.0, mag=1e3):
@@ -71,6 +80,11 @@ class TestClosedFormsLossless:
         for T in (0.2, 0.7):
             assert lambda_curve(spec, ChannelConfig(), T) == pytest.approx(T - T * T, rel=1e-14)
             assert fisher_max(5, T) == pytest.approx(5 / (T - T * T))
+
+    def test_exact_btmss_qfi_keeps_its_digits_near_unit_transmission(self):
+        for T, want in QFI_EXACT_BTMSS_NEAR_1.items():
+            got = qfi_btmss_full(EXACT_BTMSS.alpha, EXACT_BTMSS.beta, EXACT_BTMSS.squeeze, T)
+            assert got == pytest.approx(want, rel=1e-15)
 
     def test_squeezing_improves_monotonically(self):
         T = 0.8
@@ -298,17 +312,41 @@ class TestGaussianGeneral:
             qfi_gaussian(ParamFamily(bright(StateKind.BSMSS, s=edge), ChannelConfig()), np.array([0.3, 0.6, 0.4]))
 
     @pytest.mark.parametrize(
-        "s, T, refusal",
+        "spec, T, refusal",
         [
-            (1e-5, [0.5, 0.999], r"pure but sigma varies .*\(at T=0\.999\)"),
-            (1e-4, [0.5, 0.05], r"both symplectic eigenvalues at 1 .*\(at T=0\.05\)"),
+            # a nearly coherent bSMSS: nu - 1 ~ 2 T (1 - T) sinh(s)^2 puts its pair within PURE_TOL of pure
+            (bright(StateKind.BSMSS, s=1e-5), [0.5, 0.999], r"dropped pair carries \d\.\d{3}e-06 .*\(at T=0\.999\)"),
+            (EXACT_BTMSS, [0.5, 1 - 1e-8], r"QFI by \d\.\d{3}e-08 of itself \(at T=0\.99999999\)"),
         ],
-        ids=["pure", "both-eigenvalues-at-1"],
+        ids=["pure", "rounding"],
     )
-    def test_refusals_name_the_first_offending_T(self, s, T, refusal):
-        # a nearly coherent bSMSS: 4 T (1 - T) sinh(s)^2 sets det(k sigma) - 1
+    def test_refusals_name_the_first_offending_T(self, spec, T, refusal):
         with pytest.raises(ValueError, match=refusal):
-            qfi_gaussian(ParamFamily(bright(StateKind.BSMSS, s=s), ChannelConfig()), np.array(T))
+            qfi_gaussian(ParamFamily(spec, ChannelConfig()), np.array(T))
+
+    def test_a_nearly_coherent_bsmss_answers_where_both_eigenvalues_sit_near_1(self):
+        # nu - 1 ~ 9.5e-10 at T = 0.05: the covariance term is below 1e-12 of the displacement term
+        family = ParamFamily(bright(StateKind.BSMSS, s=1e-4), ChannelConfig())
+        T = np.array([0.5, 0.05])
+        want = qfi_gaussian(family, T, bright_limit=True).qfi
+        assert qfi_gaussian(family, T).qfi == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("a, b", [(3.0, 1.0), (0.0, 0.0), (1e3, 0.0), (0.0, 2.0)])
+    def test_full_qfi_near_the_edges_is_refused_or_within_1e_8(self, a, b):
+        # lossless bTMSS at theta = pi against the closed form; T (1 - T) keeps its digits near T = 1
+        for s in (2.0, 1.0, 0.3, 1e-2, 1e-4, 1e-6, 1e-8):
+            spec = StateSpec(
+                StateKind.BTMSS, alpha=ComplexAmplitude(a), beta=ComplexAmplitude(b), squeeze=SqueezeSpec(s, np.pi)
+            )
+            family = ParamFamily(spec, ChannelConfig())
+            for T in (1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-8, 1 - 1e-9, 1 - 1e-10):
+                try:
+                    got = qfi_gaussian(family, T).qfi
+                except ValueError:
+                    assert s < 0.3 or T > 1 - 1e-6, f"refused at s={s}, T={T}"
+                    continue
+                exact = qfi_btmss_full(spec.alpha, spec.beta, spec.squeeze, T)
+                assert abs(got / exact - 1.0) <= 1e-8, f"s={s}, T={T}"
 
     def test_big_theta_conventions(self):
         spec = StateSpec(

@@ -1,6 +1,6 @@
 """Compare two checkouts on one qbench workload in alternating pairs of runs.
 
-    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seeds A-B [--seconds S] [--out PATH]
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seeds A-B [--out PATH]
 
 For each seed N from A to B, one pair runs
 
@@ -8,14 +8,17 @@ For each seed N from A to B, one pair runs
 
 once in each checkout, the parent first in even pairs (counting from 0) and
 the change first in odd ones, and reads the result line each run prints last.
-S defaults to the change's BENCHMARK.json run_seconds, so both sides run
-equally long.  For every end-to-end metric that BENCHMARK.json names, it
+S is the change's BENCHMARK.json run_seconds, so every run is as long as the
+benchmark's own.  For every end-to-end metric that BENCHMARK.json names, it
 prints each side's median and quartiles (inclusive), the change's median over
-the parent's, the pairs the change won (a tie counts for neither side) and whether the
-change's median is worse than the parent's by more than the metric's bound
-(a share of the parent's median).  With --out it writes the same, with every
-pair's figures, to PATH as JSON.  It writes nothing else; each run.py writes
-its own report under its checkout's qbench/out/.
+the parent's, the pairs the change won (a tie counts for neither side),
+whether the change's median is worse than the parent's by more than the
+metric's bound (a share of the parent's median), and whether the metric is
+unresolved: the parent's quartiles lie further apart than that bound, so its
+own spread can hide a move of that size, unless every change run beats every
+parent run.  With --out it writes the same, with every pair's figures, to PATH
+as JSON.  It writes nothing else; each run.py writes its own report under its
+checkout's qbench/out/.
 
 Exit status: 0 when every run reported "correct": true, 1 when one did not or
 printed no result line, 2 on bad arguments.
@@ -35,7 +38,6 @@ def _parse(argv):
     p.add_argument("change", type=Path, help="checkout of the change")
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", required=True, help="inclusive range A-B, one pair per seed")
-    p.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json run_seconds)")
     p.add_argument("--out", type=Path, help="write the summary and every pair's figures here as JSON")
     args = p.parse_args(argv)
     for side in (args.parent, args.change):
@@ -73,14 +75,17 @@ def _spread(values):
 
 
 def _summarize(metrics, pairs):
-    """Per metric: each side's median and quartiles, the ratio, pairs won and the bound check."""
+    """Per metric: each side's median and quartiles, the ratio, pairs won, the bound check and
+    whether the parent's spread is too wide for that check to tell."""
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         figures = [(p[name]["value"], c[name]["value"]) for p, c in pairs]
-        parent_median, parent_q = _spread([p for p, _ in figures])
-        change_median, change_q = _spread([c for _, c in figures])
+        parents, changes = [p for p, _ in figures], [c for _, c in figures]
+        parent_median, parent_q = _spread(parents)
+        change_median, change_q = _spread(changes)
         worse = change_median - parent_median if lower else parent_median - change_median
+        every_run_better = max(changes) < min(parents) if lower else min(changes) > max(parents)
         out[name] = {
             "better": m["better"],
             "unit": m["unit"],
@@ -92,6 +97,8 @@ def _summarize(metrics, pairs):
             "ratio": change_median / parent_median if parent_median else None,
             "change_wins": sum((c < p) if lower else (c > p) for p, c in figures),
             "worse_than_bound": worse > m["bound"] * abs(parent_median),
+            "unresolved": (parent_q[1] - parent_q[0] > m["bound"] * abs(parent_median)
+                           and not every_run_better),
             "pairs_parent_change": figures,
         }
     return out
@@ -100,7 +107,7 @@ def _summarize(metrics, pairs):
 def main(argv=None):
     args = _parse(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds if args.seconds is not None else float(bench["run_seconds"])
+    seconds = float(bench["run_seconds"])
     pairs, runs = [], []
     for i, seed in enumerate(args.seeds):
         order = [("parent", args.parent), ("change", args.change)]
@@ -130,7 +137,8 @@ def main(argv=None):
         print(f"  {name:14s} parent {r['parent_median']:.6g} [{r['parent_quartiles'][0]:.6g}, "
               f"{r['parent_quartiles'][1]:.6g}]  change {r['change_median']:.6g} [{r['change_quartiles'][0]:.6g}, "
               f"{r['change_quartiles'][1]:.6g}] {r['unit']}  change won {r['change_wins']}/{len(pairs)}"
-              f"{'  WORSE THAN BOUND' if r['worse_than_bound'] else ''}")
+              f"{'  WORSE THAN BOUND' if r['worse_than_bound'] else ''}"
+              f"{'  UNRESOLVED' if r['unresolved'] else ''}")
     if args.out:
         args.out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
     return 0 if summary["correct"] else 1

@@ -37,7 +37,6 @@ from .qfi import (
     EstimationReport,
     ParamFamily,
     QFIMethod,
-    bright_limit_threshold,
     fisher_max,
     fock_qfi_lossy,
     h_factor,

@@ -231,6 +231,8 @@ def mc_estimate(spec, channel, plan, cfg):
         if spec.kind is StateKind.COHERENT:
             # coherent states stay coherent under loss: exact Poisson counts
             lam = t_probe * m0.mean_p
+            if lam > 1e12:  # numpy's Poisson draws lose their variance above: var/lam 0.98 at 5e13, 1.2 at 4.5e14
+                raise ValueError(f"Exact sampler: coherent mean count {lam:.3g} above 1e12; use the gaussian sampler")
 
             def draw(rng, size):
                 return rng.poisson(lam, size).astype(float)

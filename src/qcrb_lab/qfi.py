@@ -29,7 +29,7 @@ from .gaussian import (
 )
 
 # Pairs of Williamson modes with |lam_i lam_j - 1| <= PURE_TOL count as pure and leave qfi_gaussian's SLD
-# sum, which refuses a point where sigma's derivative reaches them.  Rounding leaves a pure pair's
+# sum, whose error budget bounds them where sigma's derivative reaches them.  Rounding leaves a pure pair's
 # P - 1 up to 6e-11 near SIGMA_MAX: over 4,000 lossless bTMSS points there, 5e-12 dropped and refused
 # 12 that the kept sum answers within 2e-11, and 1e-12 refused none.
 PURE_TOL = 1e-12
@@ -66,8 +66,8 @@ def _report(qfi, n_resource, method):
 
 
 def fisher_max(n_resource, T):
-    """Upper bound n_r / (T (1 - T)) on the QFI of any probe state."""
-    if not 0.0 < T < 1.0:
+    """Upper bound n_r / (T (1 - T)) on the QFI of any probe state, elementwise over an array T."""
+    if not np.all((0.0 < T) & (T < 1.0)):
         raise ValueError("maximum Fisher bound diverges at T in {0, 1}")
     if not 0 < n_resource < math.inf:
         raise ValueError("n_resource must be finite and > 0")
@@ -140,14 +140,10 @@ def _input_photons(n, channel):
     return n_r
 
 
-def _require(T, ok, why, size=None):
-    """Raise ValueError(why) naming the first T where ok fails (T, ok and size of one shape).
-
-    Given size, why is a format string for its value at that T.
-    """
+def _require(T, ok, why, *sizes):
+    """Raise ValueError(why formatted with the sizes there) at the first T where ok fails (all of one shape)."""
     if not ok.all():
-        if size is not None:
-            why = why.format(float(size[~ok][0]))
+        why = why.format(*(float(size[~ok][0]) for size in sizes))
         raise ValueError(f"{why} (at T={float(T[~ok][0])!r})")
 
 
@@ -206,9 +202,9 @@ def qfi_gaussian(family, T, bright_limit=False):
     and Z = W+ sigma_dot W, the covariance term is the SLD sum
     1/2 sum_ij |Z_ij|^2 P/(P - 1), P = lam_i lam_j, over the pairs with
     |P - 1| > PURE_TOL; the displacement term is 2 ddot+ sigma^-1 ddot.
-    It refuses a point where sigma_dot reaches a dropped pair, or where
-    rounding in lam may move the sum by more than 1e-8 of the QFI, naming
-    the size and the first such T.
+    It refuses a point where rounding in lam, plus the per-photon bound on
+    the covariance term where sigma_dot reaches a dropped pair, may move the
+    QFI by more than 1e-8 of itself, naming both parts and the first such T.
 
     With bright_limit=True only the displacement term is kept and the resource count is the
     stimulated photon number, not the source's full mean; this reproduces
@@ -230,14 +226,23 @@ def qfi_gaussian(family, T, bright_limit=False):
         kept = np.abs(P - 1.0) > PURE_TOL
         gap = np.where(kept, P - 1.0, 1.0)
         dropped = np.where(kept, 0.0, Z).max(axis=(1, 2)) / Z.max(axis=(1, 2))
-        why = "sigma varies on a pair of pure modes: the dropped pair carries {:.3e} of the largest derivative"
-        _require(t, dropped <= 1e-12, why, dropped)
         term = np.where(kept, 0.5 * Z * Z * P / gap, 0.0)
         qfi = qfi + term.sum(axis=(1, 2))
-        # a rounding error of about eps * max sigma in each lam moves each term by that over |P - 1|
-        err = 3e-16 * sigma_max * np.abs(term / gap).sum(axis=(1, 2)) / qfi
-        why = "modes too close to pure: rounding may move the QFI by {:.3e} of itself"
-        _require(t, err <= 1e-8, why, err)
+        bound = np.zeros_like(qfi)
+        reached = dropped > 1e-12
+        with np.errstate(divide="ignore", invalid="ignore"):  # qfi = 0 once every pair sigma_dot reaches is dropped
+            # a rounding error of about eps * max sigma in each lam moves each term by that over |P - 1|
+            err = 3e-16 * sigma_max * np.abs(term / gap).sum(axis=(1, 2)) / qfi
+            if reached.any():  # the paper's per-photon bound in p = T_p T eta_p caps the whole covariance term
+                ch = family.channel
+                n = math.sinh(family.spec.squeeze.s) ** 2  # the source's noise photons in the probe, exact for a tiny s
+                bound[reached] = (ch.T_p * ch.eta_p) ** 2 * fisher_max(n, ch.T_p * t[reached] * ch.eta_p) / qfi[reached]
+        why = (
+            "modes too close to pure: rounding ({:.3e}) and pure pairs taking {:.3e} of sigma's largest derivative "
+            "(their per-photon bound, {:.3e}) may move the QFI by {:.3e} of itself"
+        )
+        budget = err + bound
+        _require(t, budget <= 1e-8, why, err, dropped, bound, budget)
     qfi = qfi.reshape(T.shape)
     n = _displacement_photons(generated) if bright_limit else float(photon_moments(generated).mean_p)
     n_r = _input_photons(n, family.channel)  # from the source _lossy built, not a second one
@@ -351,11 +356,3 @@ def fock_qfi_lossy(n, channel):
     mask = rho > 1e-300
     qfi = float(np.sum(drho[mask] ** 2 / rho[mask]))
     return _report(qfi, n_r, QFIMethod.FOCK_SUM)
-
-
-def bright_limit_threshold(T, s):
-    """Seed photon scale the stimulated term must greatly exceed."""
-    if not 0.0 < T < 1.0:
-        raise ValueError("T must lie in (0, 1)")
-    sech = 1.0 / math.cosh(2.0 * s)
-    return (1.0 - T + T * sech) / (1.0 - T) * math.sinh(s) ** 2

@@ -284,6 +284,14 @@ class TestExactSampler:
                 MCConfig(trials=1000, seed=0, sampler=Sampler.EXACT),
             )
 
+    def test_coherent_mean_count_above_1e12_is_refused(self):
+        # numpy's Poisson draws lose their variance above: var / mean read 1.2 at a mean of 4.5e14
+        ch, plan, cfg = ChannelConfig(T=0.5), MeasurementPlan(), MCConfig(trials=1000, seed=0, sampler=Sampler.EXACT)
+        below = mc_estimate(StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(1e6)), ch, plan, cfg)
+        assert abs(below.z_score) < 3.0
+        with pytest.raises(ValueError, match=r"mean count 5e\+15 above 1e12; use the gaussian sampler"):
+            mc_estimate(StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(1e8)), ch, plan, cfg)
+
     def test_rejects_overflowing_source_moments(self):
         spec = StateSpec(
             StateKind.BSMSS, alpha=ComplexAmplitude(1000.0), squeeze=SqueezeSpec(s=300.0)

@@ -24,7 +24,7 @@ from qcrb_lab.gaussian import (
     williamson,
 )
 from qcrb_lab.measurement import transmission_var
-from qcrb_lab.qfi import ParamFamily, h_factor, lambda_lossy, qfi_btmss_full, qfi_gaussian
+from qcrb_lab.qfi import ParamFamily, fisher_max, h_factor, lambda_lossy, qfi_btmss_full, qfi_gaussian
 
 PROPERTY = settings(database=None, derandomize=True, max_examples=300, deadline=None)
 
@@ -185,6 +185,26 @@ def test_full_gaussian_qfi_equals_the_kronecker_form_on_mixed_states(
     block = np.ix_(modes, modes)
     want = kronecker_qfi(state.sigma[block], state.d[modes], sigma_dot[block], d_dot[modes])
     assert math.isclose(qfi_gaussian(family, T).qfi, want, rel_tol=1e-10)
+
+
+@PROPERTY
+@given(
+    st.sampled_from((StateKind.BSMSS, StateKind.BTMSS)), st.floats(-6.0, math.log10(3.0)), phases, transmissions,
+    probe_losses, probe_losses, st.one_of(st.just(1.0), aux_losses),
+)
+def test_the_vacuum_term_never_exceeds_the_per_photon_bound(kind, log_s, theta, T, T_p, eta_p, eta_a):
+    # qfi_gaussian's refusal rests on this: with no displacement the QFI is the covariance term alone, and the
+    # paper's maximum QFI per photon caps it for the source's sinh(s)^2 noise photons in the probe
+    s = 10.0**log_s
+    spec = StateSpec(kind, squeeze=SqueezeSpec(s=s, theta=theta))
+    family = ParamFamily(spec, ChannelConfig(T_p=T_p, eta_p=eta_p, eta_a=eta_a))
+    try:
+        qfi = qfi_gaussian(family, T).qfi
+    except ValueError as exc:  # near-pure modes, where the refusal itself rests on the bound
+        assert "too close to pure" in str(exc)
+        return
+    bound = (T_p * eta_p) ** 2 * fisher_max(math.sinh(s) ** 2, T_p * T * eta_p)
+    assert qfi <= bound * (1.0 + 1e-7)
 
 
 @st.composite

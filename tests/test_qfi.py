@@ -24,7 +24,6 @@ from qcrb_lab.qfi import (
     ParamFamily,
     QFIMethod,
     big_theta,
-    bright_limit_threshold,
     fisher_max,
     fock_qfi_lossy,
     h_factor,
@@ -314,22 +313,45 @@ class TestGaussianGeneral:
     @pytest.mark.parametrize(
         "spec, T, refusal",
         [
-            # a nearly coherent bSMSS: nu - 1 ~ 2 T (1 - T) sinh(s)^2 puts its pair within PURE_TOL of pure
-            (bright(StateKind.BSMSS, s=1e-5), [0.5, 0.999], r"dropped pair carries \d\.\d{3}e-06 .*\(at T=0\.999\)"),
+            # a nearly coherent bSMSS: nu - 1 ~ 2 T (1 - T) sinh(s)^2 puts its pair within PURE_TOL of pure, and
+            # with one seed photon the per-photon bound on that pair's term is 1e-7 of the QFI
+            (
+                bright(StateKind.BSMSS, s=1e-5, mag=1.0),
+                [0.5, 0.999],
+                r"rounding \(\d\.\d{3}e-\d\d\) and pure pairs taking \d\.\d{3}e-06 .*"
+                r"\(their per-photon bound, 1\.000e-07\) may move the QFI by 1\.000e-07 of itself \(at T=0\.999\)",
+            ),
             (EXACT_BTMSS, [0.5, 1 - 1e-8], r"QFI by \d\.\d{3}e-08 of itself \(at T=0\.99999999\)"),
+            # cosh(2s) - 1 rounds to 0 at s = 1e-9: the bound counts sinh(s)^2 = 1e-18 noise photons, so the
+            # dropped covariance term, 2/3 of the exact QFI here, is not taken for zero
+            (
+                bright(StateKind.BTMSS, s=1e-9, mag=1e-9),
+                [0.5],
+                r"per-photon bound, 1\.000e\+00\) may move the QFI by 1\.000e\+00 of itself \(at T=0\.5\)",
+            ),
         ],
-        ids=["pure", "rounding"],
+        ids=["pure", "rounding", "tiny-squeezing"],
     )
     def test_refusals_name_the_first_offending_T(self, spec, T, refusal):
         with pytest.raises(ValueError, match=refusal):
             qfi_gaussian(ParamFamily(spec, ChannelConfig()), np.array(T))
 
     def test_a_nearly_coherent_bsmss_answers_where_both_eigenvalues_sit_near_1(self):
-        # nu - 1 ~ 9.5e-10 at T = 0.05: the covariance term is below 1e-12 of the displacement term
-        family = ParamFamily(bright(StateKind.BSMSS, s=1e-4), ChannelConfig())
-        T = np.array([0.5, 0.05])
-        want = qfi_gaussian(family, T, bright_limit=True).qfi
-        assert qfi_gaussian(family, T).qfi == pytest.approx(want, rel=1e-12)
+        # s = 1e-4: nu - 1 ~ 9.5e-10 at T = 0.05, and the covariance term is below 1e-12 of the displacement term;
+        # s = 1e-5: nu^2 - 1 ~ 4e-13 at T = 0.999 drops the pair, whose per-photon bound is 1e-13 of the QFI
+        for s, T in ((1e-4, np.array([0.5, 0.05])), (1e-5, np.array([0.5, 0.999]))):
+            family = ParamFamily(bright(StateKind.BSMSS, s=s), ChannelConfig())
+            want = qfi_gaussian(family, T, bright_limit=True).qfi
+            assert qfi_gaussian(family, T).qfi == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-8])
+    def test_a_bright_btmss_with_tiny_squeezing_answers_within_1e_8(self, s):
+        # sigma_dot reaches a dropped pair at every T here; its per-photon bound is below 1e-8 of the QFI
+        spec = StateSpec(StateKind.BTMSS, alpha=ComplexAmplitude(1e3), squeeze=SqueezeSpec(s, np.pi))
+        T = np.array([1e-3, 0.1, 0.5, 0.9, 1 - 1e-3])
+        got = qfi_gaussian(ParamFamily(spec, ChannelConfig()), T).qfi
+        exact = [qfi_btmss_full(spec.alpha, spec.beta, spec.squeeze, t) for t in T]
+        assert got == pytest.approx(exact, rel=1e-8)
 
     @pytest.mark.parametrize("a, b", [(3.0, 1.0), (0.0, 0.0), (1e3, 0.0), (0.0, 2.0)])
     def test_full_qfi_near_the_edges_is_refused_or_within_1e_8(self, a, b):
@@ -444,18 +466,3 @@ class TestFockQFI:
     def test_non_integral_n_refused_before_the_binomial_sum(self):
         with pytest.raises(ValueError, match="fock_n"):
             fock_qfi_lossy(2.5, ChannelConfig(T=0.5))
-
-
-class TestBrightThreshold:
-    def test_vacuum_to_bright_ratio_is_exact(self):
-        # at n_bright = 100 * threshold, the spontaneous term contributes 1%
-        for T, s in [(0.3, 1.0), (0.8, 2.0)]:
-            thr = bright_limit_threshold(T, s)
-            n_b = 100.0 * thr
-            sech = 1.0 / math.cosh(2.0 * s)
-            vac = math.sinh(s) ** 2 / (T - T * T)
-            stim = n_b / (T - T * T + T * T * sech)
-            assert vac / stim == pytest.approx(thr / n_b, rel=1e-12)
-
-    def test_threshold_grows_near_unit_transmission(self):
-        assert bright_limit_threshold(0.99, 1.5) > bright_limit_threshold(0.5, 1.5)

@@ -56,6 +56,7 @@ COMMANDS=(
     "report --state bsmss --alpha 1000 --s 800 --T 0.5"
     "report --state coherent --alpha 10 --s 1 --T 0.5"
     "mc --state bsmss --alpha 355 --T 0.5 --sampler exact"
+    "mc --state coherent --alpha 1e8 --T 0.5 --trials 1000 --sampler exact"
     "mc --state coherent --alpha 100 --T 0.5 --gain 1"
     "sweep --state coherent --alpha 10 --grid T=0.9:0.1:5"
     "validate"

@@ -9,6 +9,8 @@ variance.
 """
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import astuple, dataclass
 from enum import Enum
@@ -27,7 +29,7 @@ BRIGHT_MEAN_MIN = 1e3
 EXACT_N_MAX = (40, 60, 90, 135, 200, 300, 450, 700, 1000)
 _BLOCK = 1 << 14
 # Largest accepted trial count: bounds the run time and the RNG blocks
-# spawned up front (6,104 at this cap).
+# spawned up front (6,104 at this cap, whatever the number of CPUs).
 MAX_TRIALS = 10**8
 
 
@@ -139,12 +141,51 @@ def transmission_var(spec, channel):
     return T / detected - (T * T * T_p / n_r) * (1.0 - _FANO[spec.kind](spec))
 
 
-def _block_rngs(seed, trials):
+def _blocks(seed, trials):
+    """The trials as fixed-size blocks: (SeedSequence, size) pairs, one Philox stream each."""
     n_blocks = (trials + _BLOCK - 1) // _BLOCK
     seqs = np.random.SeedSequence(seed).spawn(n_blocks)
     sizes = [_BLOCK] * (n_blocks - 1) + [trials - _BLOCK * (n_blocks - 1)]
-    for sq, size in zip(seqs, sizes):
-        yield np.random.Generator(np.random.Philox(sq)), size
+    return list(zip(seqs, sizes))
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_blocks(fn, blocks):
+    """[fn(*block) for block in blocks], on up to one thread per usable CPU.
+
+    The calling thread takes blocks 0::w and worker k takes k::w; numpy's
+    draw kernels release the GIL, so the blocks run side by side.  A single
+    block runs inline.  The first exception a block raises is re-raised here
+    once every thread has stopped.
+    """
+    w = min(_usable_cpus(), len(blocks))
+    out = [None] * len(blocks)
+    errors = []
+
+    def take(k):
+        try:
+            for i in range(k, len(blocks), w):
+                if errors:
+                    return
+                out[i] = fn(*blocks[i])
+        except BaseException as exc:  # re-raised in the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=take, args=(k,)) for k in range(1, w)]
+    for thread in threads:
+        thread.start()
+    take(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def _exact_joint_probs(spec, channel):
@@ -181,7 +222,9 @@ def mc_estimate(spec, channel, plan, cfg):
     variance with a z-score against the closed form.  Deterministic for
     a fixed (seed, trials) pair: trials are partitioned into fixed-size
     blocks, each drawn from its own counter-based RNG spawned from the
-    seed.
+    seed.  The blocks run on the CPUs the process may use, and their sums
+    are added in block order, so the result does not depend on how many
+    there are.
     """
     strategy = strategy_for(spec)
     if plan.gain is not None and strategy is Strategy.INTENSITY:
@@ -250,12 +293,18 @@ def mc_estimate(spec, channel, plan, cfg):
 
     # sums of deviations from the true T: raw sums of T-hat would cancel
     # every digit once var(T-hat) / T^2 nears the double's 1e-16
+    def block_sums(seq, size):
+        dev = draw(np.random.Generator(np.random.Philox(seq)), size)  # a fresh array
+        dev += offset
+        dev /= slope
+        dev -= channel.T
+        return dev.sum(), (dev * dev).sum()
+
     total = 0.0
     total_sq = 0.0
-    for rng, size in _block_rngs(cfg.seed, cfg.trials):
-        dev = (draw(rng, size) + offset) / slope - channel.T
-        total += dev.sum()
-        total_sq += (dev * dev).sum()
+    for block_total, block_sq in _map_blocks(block_sums, _blocks(cfg.seed, cfg.trials)):
+        total += block_total
+        total_sq += block_sq
     n = cfg.trials
     emp_var = (total_sq - total * total / n) / (n - 1)
     return MCResult(

@@ -204,7 +204,8 @@ def qfi_gaussian(family, T, bright_limit=False):
     |P - 1| > PURE_TOL; the displacement term is 2 ddot+ sigma^-1 ddot.
     It refuses a point where rounding in lam, plus the per-photon bound on
     the covariance term where sigma_dot reaches a dropped pair, may move the
-    QFI by more than 1e-8 of itself, naming both parts and the first such T.
+    QFI by more than 1e-8 of itself, naming both parts (or a computed QFI
+    of 0, of which no share is defined) and the first such T.
 
     With bright_limit=True only the displacement term is kept and the resource count is the
     stimulated photon number, not the source's full mean; this reproduces
@@ -242,7 +243,10 @@ def qfi_gaussian(family, T, bright_limit=False):
             "(their per-photon bound, {:.3e}) may move the QFI by {:.3e} of itself"
         )
         budget = err + bound
-        _require(t, budget <= 1e-8, why, err, dropped, bound, budget)
+        failed = ~(budget <= 1e-8)  # a QFI of 0 always fails: its shares are nan or inf
+        if failed.any() and qfi[failed.argmax()] == 0:
+            why = "modes too close to pure: the computed QFI is 0, so no share of it is defined"
+        _require(t, ~failed, why, err, dropped, bound, budget)
     qfi = qfi.reshape(T.shape)
     n = _displacement_photons(generated) if bright_limit else float(photon_moments(generated).mean_p)
     n_r = _input_photons(n, family.channel)  # from the source _lossy built, not a second one

@@ -1,11 +1,14 @@
 """Tests for the measurement strategies and the Monte Carlo harness."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from qcrb_lab import fock
+from qcrb_lab import fock, measurement
 from qcrb_lab.gaussian import (
     ChannelConfig,
     ComplexAmplitude,
@@ -303,3 +306,164 @@ class TestExactSampler:
                 MeasurementPlan(),
                 MCConfig(trials=1000, seed=0),
             )
+
+
+# several full blocks and a partial one
+MULTI_BLOCK_TRIALS = 5 * measurement._BLOCK + 123
+
+
+def serial_var_T(draw, offset, slope, T, cfg):
+    """The empirical var(T-hat) of one block after another, each from its own spawned Philox stream."""
+    n_blocks = -(-cfg.trials // measurement._BLOCK)
+    total = total_sq = 0.0
+    left = cfg.trials
+    for seq in np.random.SeedSequence(cfg.seed).spawn(n_blocks):
+        size = min(measurement._BLOCK, left)
+        left -= size
+        dev = (draw(np.random.Generator(np.random.Philox(seq)), size) + offset) / slope - T
+        total += dev.sum()
+        total_sq += (dev * dev).sum()
+    return (total_sq - total * total / cfg.trials) / (cfg.trials - 1)
+
+
+def coherent_poisson():
+    spec, ch = StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(40.0)), ChannelConfig(T=0.6, eta_p=0.9)
+    lam = ch.probe_transmission * source_moments(spec).mean_p
+    return spec, ch, Sampler.EXACT, lambda rng, size: rng.poisson(lam, size).astype(float), 0.0
+
+
+def fock_choice():
+    spec, ch = StateSpec(StateKind.FOCK, fock_n=12), ChannelConfig(T=0.5, T_p=0.9)
+    probs, dim = _exact_joint_probs(spec, ch)
+    values = np.arange(dim, dtype=float)
+    return spec, ch, Sampler.EXACT, lambda rng, size: values[rng.choice(len(probs), size=size, p=probs)], 0.0
+
+
+def btmss_choice():
+    spec, ch = btmss(mag=1.3, s=0.35), ChannelConfig(T=0.6)
+    m0 = source_moments(spec)
+    g = optimal_gain(m0, ch)
+    probs, dim = _exact_joint_probs(spec, ch)
+    idx = np.arange(dim * dim)
+    values = (idx // dim) - g * (idx % dim)
+    draw = lambda rng, size: values[rng.choice(len(probs), size=size, p=probs)]  # noqa: E731
+    return spec, ch, Sampler.EXACT, draw, g * ch.eta_a * m0.mean_a
+
+
+def gaussian_intensity():
+    spec = StateSpec(StateKind.BSMSS, alpha=ComplexAmplitude(1e3), squeeze=SqueezeSpec(s=1.0))
+    ch = ChannelConfig(T=0.6, T_p=0.9, eta_p=0.97)
+    m0 = source_moments(spec)
+    mean_p, var_p = thinned_stats(m0.mean_p, m0.var_p, ch.probe_transmission)
+    return spec, ch, Sampler.GAUSSIAN_APPROX, lambda rng, size: rng.normal(mean_p, math.sqrt(var_p), size), 0.0
+
+
+def gaussian_difference():
+    spec, ch = btmss(mag=2e3, s=1.0), ChannelConfig(T=0.55, T_p=0.95, eta_p=0.97, eta_a=0.96)
+    m0 = source_moments(spec)
+    g = optimal_gain(m0, ch)
+    t_p = ch.probe_transmission
+    mean_p, var_p = thinned_stats(m0.mean_p, m0.var_p, t_p)
+    mean_a, var_a = thinned_stats(m0.mean_a, m0.var_a, ch.eta_a)
+    cov = t_p * ch.eta_a * m0.cov_pa
+
+    def draw(rng, size):
+        xp = rng.normal(mean_p, math.sqrt(var_p), size)
+        xa = mean_a + cov / var_p * (xp - mean_p) + rng.normal(0.0, math.sqrt(max(var_a - cov * cov / var_p, 0.0)), size)
+        return xp - g * xa
+
+    return spec, ch, Sampler.GAUSSIAN_APPROX, draw, g * ch.eta_a * m0.mean_a
+
+
+SAMPLER_PATHS = [coherent_poisson, fock_choice, btmss_choice, gaussian_intensity, gaussian_difference]
+
+
+def cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestParallelBlocks:
+    @pytest.mark.parametrize("path", SAMPLER_PATHS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("n_cpus", [1, 2, 4])
+    def test_equals_the_serial_block_sum(self, path, n_cpus, monkeypatch):
+        cpus(monkeypatch, n_cpus)
+        spec, ch, sampler, draw, offset = path()
+        cfg = MCConfig(trials=MULTI_BLOCK_TRIALS, seed=2024, sampler=sampler)
+        slope = float(ch.T_p * ch.eta_p * source_moments(spec).mean_p)
+        got = mc_estimate(spec, ch, MeasurementPlan(), cfg)
+        assert got.empirical_var_T == serial_var_T(draw, offset, slope, ch.T, cfg)
+
+    def test_the_cpu_count_changes_nothing(self, monkeypatch):
+        spec, ch, sampler, _, _ = btmss_choice()
+        cfg = MCConfig(trials=MULTI_BLOCK_TRIALS, seed=5, sampler=sampler)
+        results = []
+        for n in (1, 4):
+            cpus(monkeypatch, n)
+            results.append(mc_estimate(spec, ch, MeasurementPlan(), cfg))
+        monkeypatch.delattr(os, "sched_getaffinity")  # a platform without it falls back to cpu_count
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        results.append(mc_estimate(spec, ch, MeasurementPlan(), cfg))
+        assert results[0] == results[1] == results[2]
+
+    def test_sums_come_back_in_block_order(self, monkeypatch):
+        # block 0 waits for block 3, another thread's first block, so it is never the first to finish
+        cpus(monkeypatch, 4)
+        block_3_done = threading.Event()
+
+        def block(i, size):
+            if i == 0:
+                assert block_3_done.wait(timeout=5.0)
+            elif i == 3:
+                block_3_done.set()
+            return i, size
+
+        blocks = [(i, 10 * i) for i in range(8)]
+        assert measurement._map_blocks(block, blocks) == blocks
+
+    def test_more_threads_than_cores_lose_no_block(self, monkeypatch):
+        cpus(monkeypatch, 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            blocks = [(i, i % 7) for i in range(500)]
+            got = measurement._map_blocks(lambda i, size: (i, size * i), blocks)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [(i, size * i) for i, size in blocks]
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        cpus(monkeypatch, 4)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-block run started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        spec, ch, sampler, _, _ = coherent_poisson()
+        res = mc_estimate(spec, ch, MeasurementPlan(), MCConfig(trials=measurement._BLOCK, seed=1, sampler=sampler))
+        assert res.trials == measurement._BLOCK
+
+    @pytest.mark.parametrize(
+        "fails",
+        [lambda call, seq: call == 3, lambda call, seq: seq.spawn_key[-1] == 1],
+        ids=["third-call", "a-worker-block"],
+    )
+    def test_a_block_error_reaches_the_caller(self, fails, monkeypatch):
+        cpus(monkeypatch, 4)
+        philox = np.random.Philox
+        calls = []
+        lock = threading.Lock()
+
+        def failing(seq):
+            with lock:
+                calls.append(seq)
+                call = len(calls)
+            if fails(call, seq):
+                raise RuntimeError("no stream for this block")
+            return philox(seq)
+
+        monkeypatch.setattr(np.random, "Philox", failing)
+        before = threading.active_count()
+        spec, ch, sampler, _, _ = gaussian_intensity()
+        with pytest.raises(RuntimeError, match="no stream for this block"):
+            mc_estimate(spec, ch, MeasurementPlan(), MCConfig(trials=MULTI_BLOCK_TRIALS, seed=3, sampler=sampler))
+        assert threading.active_count() == before  # every worker has stopped

@@ -329,8 +329,19 @@ class TestGaussianGeneral:
                 [0.5],
                 r"per-photon bound, 1\.000e\+00\) may move the QFI by 1\.000e\+00 of itself \(at T=0\.5\)",
             ),
+            # unseeded at s = 1e-170: every |Z_ij|^2 underflows, so the QFI is 0 and its shares would read nan
+            (
+                bright(StateKind.BSMSS, s=1e-170, mag=0.0),
+                [0.5],
+                r"^modes too close to pure: the computed QFI is 0, so no share of it is defined \(at T=0\.5\)$",
+            ),
+            (
+                bright(StateKind.BTMSS, s=1e-170, mag=0.0),
+                [0.5],
+                r"^modes too close to pure: the computed QFI is 0, so no share of it is defined \(at T=0\.5\)$",
+            ),
         ],
-        ids=["pure", "rounding", "tiny-squeezing"],
+        ids=["pure", "rounding", "tiny-squeezing", "zero-qfi-bsmss", "zero-qfi-btmss"],
     )
     def test_refusals_name_the_first_offending_T(self, spec, T, refusal):
         with pytest.raises(ValueError, match=refusal):

@@ -346,8 +346,8 @@ def btmss_choice():
     probs, dim = _exact_joint_probs(spec, ch)
     idx = np.arange(dim * dim)
     values = (idx // dim) - g * (idx % dim)
-    draw = lambda rng, size: values[rng.choice(len(probs), size=size, p=probs)]  # noqa: E731
-    return spec, ch, Sampler.EXACT, draw, g * ch.eta_a * m0.mean_a
+    offset = g * ch.eta_a * m0.mean_a
+    return spec, ch, Sampler.EXACT, lambda rng, size: values[rng.choice(len(probs), size=size, p=probs)], offset
 
 
 def gaussian_intensity():

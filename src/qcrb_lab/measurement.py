@@ -287,9 +287,13 @@ def mc_estimate(spec, channel, plan, cfg):
                 values = (idx // dim) - g * (idx % dim)
             else:
                 values = np.arange(dim, dtype=float)
+            # Generator.choice's own draw, its cumulative sum formed once: _exact_joint_probs already clipped
+            # and normalized probs, which choice would check again for every block
+            cdf = np.cumsum(probs)
+            cdf /= cdf[-1]
 
             def draw(rng, size):
-                return values[rng.choice(len(probs), size=size, p=probs)]
+                return values[np.searchsorted(cdf, rng.random(size), side="right")]
 
     # sums of deviations from the true T: raw sums of T-hat would cancel
     # every digit once var(T-hat) / T^2 nears the double's 1e-16

@@ -16,7 +16,6 @@ import numpy as np
 from .fock import binomial_pmf
 from .gaussian import (
     ChannelConfig,
-    GaussianState,
     Moments,
     SqueezeSpec,
     StateKind,
@@ -35,7 +34,7 @@ from .gaussian import (
 PURE_TOL = 1e-12
 # Largest covariance entry (1 + twice a mode's noise photons) that qfi_gaussian takes. Over random
 # channels, s <= 14 and T <= 1 - 1e-6, bright-limit relative errors stayed below 2e-10 up to 1e3,
-# reached 6e-5 by 1e6 and 5e-2 by 1e9; from 2e10 the 4x4 solves went singular.
+# reached 6e-5 by 1e6 and 5e-2 by 1e9; from 2e10 the covariance solves went singular.
 SIGMA_MAX = 1e3
 # Largest n fock_qfi_lossy takes: its O(n^2) binomial sum costs 0.16 s here on 2 vCPUs (0.6 s at 2e4).
 FOCK_QFI_N_MAX = 10**4
@@ -154,21 +153,11 @@ class ParamFamily:
     spec: StateSpec
     channel: ChannelConfig
 
-    def _source(self):
-        """The generated state and its two-mode embedding (aux = vacuum if absent)."""
-        state = make_source(self.spec)
-        if state.modes == 2:
-            return state, state
-        d = np.zeros(4, dtype=complex)
-        d[0], d[2] = state.d
-        sigma = np.eye(4, dtype=complex)
-        sigma[np.ix_([0, 2], [0, 2])] = state.sigma
-        return state, GaussianState(d=d, sigma=sigma)
-
     def state_at(self, T):
         T = np.asarray(T, dtype=float)
         _require(T, (0.0 <= T) & (T <= 1.0), "T outside [0, 1]")
-        return _attenuate(self._source()[1], channel_scaling(self.channel, 2, T))
+        src = make_source(self.spec)
+        return _attenuate(src, channel_scaling(self.channel, src.modes, T))
 
     def derivatives_at(self, T):
         """Analytic d(sigma)/dT and d(d)/dT of the lossy state, for T in (0, 1]."""
@@ -178,13 +167,14 @@ class ParamFamily:
 
     def _lossy(self, T):
         """The generated state, the lossy state, d(sigma)/dT and d(d)/dT at an array T already checked in (0, 1]."""
-        ch, (generated, src) = self.channel, self._source()
-        D = channel_scaling(ch, 2, T)
+        ch, src = self.channel, make_source(self.spec)
+        m = src.modes
+        D = channel_scaling(ch, m, T)
         # only the probe factor sqrt(T_p T eta_p) depends on T
-        dD = np.multiply.outer(math.sqrt(ch.T_p * ch.eta_p) / (2.0 * np.sqrt(T)), [1.0, 0.0, 1.0, 0.0])
+        dD = np.multiply.outer(math.sqrt(ch.T_p * ch.eta_p) / (2.0 * np.sqrt(T)), [1.0, 0.0][:m] * 2)
         # d/dT of _attenuate's D sigma D + I - D^2, its factors in the same order
         sigma_dot = dD[..., :, None] * src.sigma * D[..., None, :] + D[..., :, None] * src.sigma * dD[..., None, :]
-        return generated, _attenuate(src, D), sigma_dot - 2.0 * np.eye(4) * (D * dD)[..., None, :], dD * src.d
+        return src, _attenuate(src, D), sigma_dot - 2.0 * np.eye(2 * m) * (D * dD)[..., None, :], dD * src.d
 
     def derivatives_fd(self, T):
         """Richardson-extrapolated central differences; validation fallback."""

@@ -180,10 +180,7 @@ def test_full_gaussian_qfi_equals_the_kronecker_form_on_mixed_states(
     )
     family = ParamFamily(spec, ChannelConfig(T=T, T_p=T_p, eta_p=eta_p, eta_a=eta_a))
     state, (sigma_dot, d_dot) = family.state_at(T), family.derivatives_at(T)
-    # a bSMSS's vacuum auxiliary mode is pure: the Kronecker form holds on the probe mode alone
-    modes = [0, 2] if kind is StateKind.BSMSS else [0, 1, 2, 3]
-    block = np.ix_(modes, modes)
-    want = kronecker_qfi(state.sigma[block], state.d[modes], sigma_dot[block], d_dot[modes])
+    want = kronecker_qfi(state.sigma, state.d, sigma_dot, d_dot)
     assert math.isclose(qfi_gaussian(family, T).qfi, want, rel_tol=1e-10)
 
 

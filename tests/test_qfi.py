@@ -232,18 +232,23 @@ class TestGaussianGeneral:
         total = np.sinh(1.0) ** 2 + stimulated_photons(spec)
         assert rep.qfi < fisher_max(total, T)
 
-    def test_family_uses_the_channel_loss_chain(self):
+    @pytest.mark.parametrize("kind", [StateKind.COHERENT, StateKind.BSMSS, StateKind.BTMSS])
+    def test_family_uses_the_channel_loss_chain(self, kind):
+        # each probe on its own modes: a single-mode family carries no auxiliary mode
         spec = StateSpec(
-            StateKind.BTMSS,
+            kind,
             alpha=ComplexAmplitude(2.0, 0.3),
             beta=ComplexAmplitude(0.5),
             squeeze=SqueezeSpec(s=0.8, theta=1.0),
         )
         ch = ChannelConfig(T=0.35, T_p=0.9, eta_p=0.95, eta_a=0.85)
-        got = ParamFamily(spec, ch).state_at(ch.T)
+        family = ParamFamily(spec, ch)
+        got = family.state_at(ch.T)
         want = apply_channel(make_source(spec), ch)
         assert np.array_equal(got.sigma, want.sigma)
         assert np.array_equal(got.d, want.d)
+        sigma_dot, d_dot = family.derivatives_at(ch.T)
+        assert sigma_dot.shape == want.sigma.shape and d_dot.shape == want.d.shape
 
     def test_analytic_derivatives_match_fd(self):
         fam = ParamFamily(

@@ -4,15 +4,16 @@ Ground truth used to validate the Gaussian machinery: exact state
 expansions (closed-form recursions, no operator exponentials), exact
 beamsplitter loss channels in the number basis, photon statistics by
 direct summation, and QFI via eigendecomposition of the density matrix.
+An expansion with no imaginary part is kept real, so its density
+matrix, loss channel and eigendecomposition run in real arithmetic.
 
 Loss is binomial thinning, so photon-count statistics need only |c|^2
 and one binomial table per loss (thinned_probs); no density matrix is
 formed.  The QFI (oracle_qfi) builds the density matrix once and takes
 its T-derivative exactly from the amplitude-damping generator
-(loss_generator), then does one dense eigendecomposition of the whole
-matrix, the same computation for every probe; a real matrix is
-decomposed as a real one.  Intended for mean photon numbers of order a
-few.
+(loss_generator), then decomposes it on its support: the basis states
+that rho or d rho/dT reach, the same computation for every probe.
+Intended for mean photon numbers of order a few.
 """
 
 from dataclasses import dataclass
@@ -102,11 +103,16 @@ def _btmss_coeffs(alpha, beta, s, theta, n_max):
 
 
 def build_fock_state(spec, n_max):
-    """Expand a StateSpec in the truncated number basis (Yuen ordering)."""
+    """Expand a StateSpec in the truncated number basis (Yuen ordering).
+
+    The coefficients are float64 when the expansion has no imaginary part
+    (a Fock state, a real-alpha coherent state, a vacuum TMSS at
+    theta = 0), complex otherwise.
+    """
     if spec.kind is StateKind.FOCK:
         if spec.fock_n > n_max - 2:
             raise TruncationError("n_max too small for the requested Fock state")
-        c = np.zeros(n_max + 1, dtype=complex)
+        c = np.zeros(n_max + 1)
         c[spec.fock_n] = 1.0
         return FockVector(coeffs=c, n_max=n_max)
     # a state too wide for n_max may overflow its expansion to inf and nan; _check_tail refuses it
@@ -126,6 +132,8 @@ def build_fock_state(spec, n_max):
         if abs(norm - 1.0) > 1e-6:
             c = c / norm
     _check_tail(c, n_max)
+    if not c.imag.any():
+        c = np.ascontiguousarray(c.real)
     return FockVector(coeffs=c, n_max=n_max)
 
 
@@ -175,12 +183,6 @@ def pure_density(state):
     )
 
 
-def _left_multiply(kernel, block):
-    """kernel @ block over the first axis, for a real kernel and a complex block."""
-    flat = block.reshape(len(block), -1).view(np.float64)
-    return (kernel @ flat).view(complex).reshape(block.shape)
-
-
 def apply_loss_density(rho, mode, t):
     """Beamsplitter-with-vacuum channel on one mode of a density matrix.
 
@@ -188,23 +190,29 @@ def apply_loss_density(rho, mode, t):
     root of the binomial table) keeps the mode's diagonal offset d, and on
     it is one matrix product: out[i, i+d] = sum_m B_d[i, m] rho[m, m+d]
     with B_d[i, m] = A[m, i] A[m+d, i+d], and likewise for rho[m+d, m].
-    Peak memory is the input, the output and one pair of diagonals.  At
-    t = 1 the input is returned unchanged.
+    The mode's row and column axes are copied to the front, so that each
+    diagonal is a strided slice of whole rows, for either mode alike, and
+    each product is written back over the rows it read; a complex rho is
+    multiplied as its real and imaginary parts.  Peak memory is the
+    input, that copy, one pair of diagonals and, for two modes, the output
+    in the input's axis order.  At t = 1 the input is returned unchanged.
     """
     if t == 1.0:
         return rho
     amp = np.sqrt(binomial_table(rho.n_max, t))
     dim = rho.n_max + 1
-    row_ax, col_ax = mode, mode + rho.modes
-    work = np.moveaxis(rho.tensor(), (row_ax, col_ax), (0, 1))
-    out = np.zeros_like(work)
+    axes = (mode, mode + rho.modes)
+    work = np.moveaxis(rho.tensor(), axes, (0, 1)).copy()
+    # rows (i, j) of the mode pair, each holding the rest of rho: diagonal d runs from row d (upper) and d*dim (lower)
+    rows = work.reshape(dim * dim, -1).view(np.float64)
     for d in range(dim):
-        m = np.arange(dim - d)
-        rows = np.stack([m, m + d], axis=1)
-        cols = rows[:, ::-1]
-        kernel = amp[: dim - d, : dim - d].T * amp[d:, d:].T
-        out[rows, cols] = _left_multiply(kernel, work[rows, cols])
-    out = np.moveaxis(out, (0, 1), (row_ax, col_ax))
+        n = dim - d
+        upper, lower = slice(d, None, dim + 1), slice(d * dim, None, dim + 1)
+        kernel = amp[:n, :n].T * amp[d:, d:].T
+        pair = np.stack((rows[upper][:n], rows[lower][:n]), axis=1)
+        pair = (kernel @ pair.reshape(n, -1)).reshape(pair.shape)
+        rows[upper][:n], rows[lower][:n] = pair[:, 0], pair[:, 1]
+    out = np.moveaxis(work, (0, 1), axes)
     return FockDensity(
         matrix=out.reshape(rho.matrix.shape), n_max=rho.n_max, modes=rho.modes
     )
@@ -231,7 +239,9 @@ def thinned_probs(state, t_p=1.0, t_a=1.0):
     matrix without forming it.  1-D for one mode, (probe, auxiliary) for
     two.
     """
-    c = state.coeffs
+    # the real part of a complex product for a real c too: the sums below take the
+    # same strided path, so a real expansion gives the bits of its complex form
+    c = state.coeffs.astype(complex, copy=False)
     probs = (c * c.conj()).real
     if t_p != 1.0:
         probs = binomial_table(state.n_max, t_p).T @ probs
@@ -300,15 +310,19 @@ def loss_generator(rho):
 
 
 def oracle_qfi(rho_of_T, T):
-    """SLD QFI of rho(T) by one eigendecomposition and the exact derivative.
+    """SLD QFI of rho(T) on its support, by the exact derivative.
 
     rho_of_T maps a transmission to a FockDensity and is called once, at
     T.  T must scale the probe's (mode 0's) transmission multiplicatively,
     as channel_density's t_p = T_p * T * eta_p does; then
     d rho / dT = -L(rho) / T (loss_generator) exactly, whatever the other
-    losses.  With rho = sum_k p_k |u_k><u_k| and M = U^+ (d rho / dT) U,
+    losses.  A basis state that neither rho nor d rho / dT reaches (a zero
+    column, so by Hermiticity a zero row) is an eigenvector with p = 0 and
+    a zero row of M, and adds no term (Liu, Yuan, Lu and Wang, J. Phys. A
+    53, 023001 (2020)); the rest, the live states, are decomposed.  With
+    rho = sum_k p_k |u_k><u_k| there and M = U^+ (d rho / dT) U,
     F = 2 sum |M_kl|^2 / (p_k + p_l) over the pairs with p_k + p_l > 1e-12.
-    A rho with no imaginary part is decomposed as a real matrix.
+    A real rho is decomposed in real arithmetic.
 
     Raises ValueError for T outside (0, 1], and when d rho / dT leaves the
     support of rho: the largest dropped |M_kl| above 1e-6 times the
@@ -317,11 +331,15 @@ def oracle_qfi(rho_of_T, T):
     if not 0.0 < T <= 1.0:  # also nan
         raise ValueError(f"transmission T = {T:g} outside (0, 1]")
     rho = rho_of_T(T)
-    if not rho.matrix.imag.any():
-        rho = FockDensity(matrix=rho.matrix.real, n_max=rho.n_max, modes=rho.modes)
-    p, U = np.linalg.eigh(rho.matrix)
     drho = loss_generator(rho).matrix * (-1.0 / T)
-    M = np.abs(U.conj().T @ drho @ U)  # |M_kl|
+    rho = rho.matrix
+    live = np.flatnonzero(rho.any(axis=0) | drho.any(axis=0))  # a zero column is a zero row too
+    if len(live) < len(rho):
+        ix = np.ix_(live, live)
+        rho, drho = rho[ix], drho[ix]
+    p, U = np.linalg.eigh(rho)
+    del rho
+    M = np.abs(U.conj().T @ drho @ U)  # |M_kl|; conj() of a real U is U itself
     denom = p[:, None] + p[None, :]
     kept = denom > 1e-12  # drop pairs of eigenvalues that are both ~0
     dropped = M[~kept].max(initial=0.0)

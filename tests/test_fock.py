@@ -44,6 +44,30 @@ def seeded_btmss():
     )
 
 
+def dense_oracle_qfi(rho, T):
+    """The SLD sum with one eigendecomposition of the whole matrix, empty basis states included."""
+    drho = -fock.loss_generator(rho).matrix / T
+    p, U = np.linalg.eigh(rho.matrix)
+    M = np.abs(U.conj().T @ drho @ U)
+    denom = p[:, None] + p[None, :]
+    kept = denom > 1e-12
+    return float(2.0 * np.sum(M[kept] ** 2 / denom[kept]))
+
+
+def kraus_loss(rho, mode, t):
+    """Reference loss channel: sum_k K_k rho K_k^+ with full operator matrices on the two-mode basis."""
+    dim = rho.n_max + 1
+    amp = np.sqrt(fock.binomial_table(rho.n_max, t))
+    out = np.zeros_like(rho.matrix, dtype=complex)
+    for k in range(dim):
+        K = np.zeros((dim, dim))
+        for n in range(k, dim):
+            K[n - k, n] = amp[n, n - k]
+        op = np.kron(K, np.eye(dim)) if mode == 0 else np.kron(np.eye(dim), K)
+        out += op @ rho.matrix @ op.T
+    return out
+
+
 class TestStateBuilders:
     def test_coherent_is_poissonian(self):
         vec = fock.build_fock_state(coherent_spec(1.5), n_max=30)
@@ -119,6 +143,23 @@ class TestStateBuilders:
         assert vec.coeffs[3] == 1.0
         assert np.sum(np.abs(vec.coeffs)) == 1.0
 
+    @pytest.mark.parametrize(
+        "spec, dtype",
+        [
+            (StateSpec(StateKind.FOCK, fock_n=3), np.float64),
+            (coherent_spec(1.5), np.float64),
+            (StateSpec(StateKind.BTMSS, squeeze=SqueezeSpec(s=0.5, theta=0.0)), np.float64),
+            (StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(1.5, 0.7)), np.complex128),
+            (StateSpec(StateKind.BSMSS, alpha=ComplexAmplitude(1.0), squeeze=SqueezeSpec(s=0.5, theta=0.7)), np.complex128),
+            (StateSpec(StateKind.BTMSS, squeeze=SqueezeSpec(s=0.5, theta=1.1)), np.complex128),
+        ],
+        ids=["fock", "coherent", "vtmss", "coherent-rotated", "bsmss-rotated", "vtmss-rotated"],
+    )
+    def test_a_real_expansion_stays_real(self, spec, dtype):
+        vec = fock.build_fock_state(spec, n_max=40)
+        assert vec.coeffs.dtype == dtype
+        assert vec.coeffs.flags.c_contiguous
+
 
 class TestLossChannel:
     def test_trace_preserved(self):
@@ -175,6 +216,28 @@ class TestLossChannel:
         var0 = n0 * (n0 + 1)  # thermal marginal
         want = (1 - t) ** 2 * var0 + t * (1 - t) * n0
         assert var_diff == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("mode", [0, 1])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_equals_the_kraus_sum(self, mode, dtype):
+        rng = np.random.default_rng(11)
+        c = rng.normal(size=(5, 5)) + (1j * rng.normal(size=(5, 5)) if dtype is complex else 0.0)
+        rho = fock.pure_density(fock.FockVector(coeffs=c / np.linalg.norm(c), n_max=4))
+        got = fock.apply_loss_density(rho, mode, 0.35)
+        assert got.matrix.dtype == dtype
+        assert np.max(np.abs(got.matrix - kraus_loss(rho, mode, 0.35))) <= 1e-15
+
+    def test_aux_loss_is_the_probe_loss_on_swapped_modes(self):
+        # same arithmetic on the same numbers: the auxiliary call reads and writes its own axes
+        rho = fock.apply_loss_density(fock.pure_density(fock.build_fock_state(seeded_btmss(), n_max=20)), 0, 0.4)
+        dim = rho.n_max + 1
+
+        def swap(m):
+            return m.reshape((dim,) * 4).transpose(1, 0, 3, 2).reshape(m.shape)
+
+        swapped = fock.FockDensity(matrix=swap(rho.matrix), n_max=rho.n_max, modes=2)
+        aux = fock.apply_loss_density(rho, 1, 0.7).matrix
+        assert np.array_equal(aux, swap(fock.apply_loss_density(swapped, 0, 0.7).matrix))
 
 
 class TestOracleQFI:
@@ -267,6 +330,28 @@ class TestOracleQFI:
             fock.oracle_qfi(
                 lambda t: fock.channel_density(spec, ChannelConfig(T=1.0), n_max=6, T=t), 1.0
             )
+
+    @pytest.mark.parametrize("T", [0.2, 0.5, 0.8])
+    def test_support_trim_equals_the_dense_sum(self, T):
+        # lossless auxiliary: rho and its derivative vanish on every state with n_p > n_a
+        spec = StateSpec(StateKind.BTMSS, squeeze=SqueezeSpec(s=0.6))
+        ch = ChannelConfig(T=T, T_p=0.9, eta_p=0.95)
+        rho = fock.channel_density(spec, ch, n_max=28)
+        live = rho.matrix.any(axis=0) | fock.loss_generator(rho).matrix.any(axis=0)
+        assert live.sum() == 435  # of 29^2 = 841
+        got = fock.oracle_qfi(lambda t: fock.channel_density(spec, ch, n_max=28, T=t), T)
+        assert got == pytest.approx(dense_oracle_qfi(rho, T), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_empty_basis_states_leave_the_qfi(self, n):
+        spec = StateSpec(StateKind.FOCK, fock_n=n)
+        ch = ChannelConfig(T=0.35, T_p=0.9, eta_p=0.95)
+        tight, padded = (
+            fock.oracle_qfi(lambda t, m=m: fock.channel_density(spec, ch, n_max=m, T=t), ch.T)
+            for m in (n + 2, n + 8)
+        )
+        assert padded == pytest.approx(tight, rel=1e-14, abs=0)
+        assert tight == pytest.approx(fock_qfi_lossy(n, ch).qfi, rel=1e-12)
 
     def test_lossless_coherent_state_at_unit_transmission(self):
         # pure, but its derivative stays inside the support: F = |alpha|^2 / T
@@ -410,6 +495,25 @@ class TestThinnedProbs:
         om, cm = fock.oracle_moments(rho), fock.count_moments(got)
         for field in ("mean_p", "var_p", "mean_a", "var_a", "cov_pa"):
             assert getattr(cm, field) == pytest.approx(getattr(om, field), abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "spec, n_max",
+        [
+            (StateSpec(StateKind.FOCK, fock_n=5), 7),
+            (coherent_spec(1.4), 30),
+            (StateSpec(StateKind.BTMSS, squeeze=SqueezeSpec(s=0.5)), 24),
+        ],
+        ids=["fock", "coherent", "vtmss"],
+    )
+    @pytest.mark.parametrize("T", [1.0, 0.45])
+    def test_a_real_expansion_gives_the_complex_bits(self, spec, n_max, T):
+        ch = ChannelConfig(T=T, T_p=0.9, eta_p=0.95, eta_a=0.8)
+        vec = fock.build_fock_state(spec, n_max=n_max)
+        as_complex = fock.FockVector(coeffs=vec.coeffs.astype(complex), n_max=n_max)
+        want = fock.thinned_probs(as_complex, ch.probe_transmission, ch.eta_a)
+        assert vec.coeffs.dtype == np.float64
+        assert np.array_equal(fock.thinned_probs(vec, ch.probe_transmission, ch.eta_a), want)
+        assert np.array_equal(fock.channel_probs(spec, ch, n_max=n_max), want)
 
     def test_unit_transmission_keeps_the_state(self):
         vec = fock.build_fock_state(seeded_btmss(), n_max=20)

@@ -9,11 +9,11 @@ matrix, loss channel and eigendecomposition run in real arithmetic.
 
 Loss is binomial thinning, so photon-count statistics need only |c|^2
 and one binomial table per loss (thinned_probs); no density matrix is
-formed.  The QFI (oracle_qfi) builds the density matrix once and takes
-its T-derivative exactly from the amplitude-damping generator
-(loss_generator), then decomposes it on its support: the basis states
-that rho or d rho/dT reach, the same computation for every probe.
-Intended for mean photon numbers of order a few.
+formed.  The QFI (oracle_qfi) builds the density matrix once,
+decomposes it on its support (the basis states that rho or d rho/dT
+reach, the same computation for every probe) and then takes its
+T-derivative exactly from the amplitude-damping generator
+(loss_generator).  Intended for mean photon numbers of order a few.
 """
 
 from dataclasses import dataclass
@@ -309,6 +309,23 @@ def loss_generator(rho):
     )
 
 
+def _live_states(rho):
+    """Basis states where rho or d rho / dT = -L(rho) / T has a nonzero column.
+
+    Column (j, B) of L(rho) (probe index j, the rest B) reads only columns
+    (j, B) and (j+1, B) of rho (loss_generator).  A nonzero column of a
+    density matrix has a positive diagonal entry, and rho[(j+1, B), (j+1, B)]
+    alone gives L(rho)[(j, B), (j, B)] when column (j, B) of rho is zero; so
+    the live states are rho's nonzero columns and their neighbours one probe
+    photon down, and d rho / dT need not be formed to find them.
+    """
+    dim = rho.n_max + 1
+    cols = rho.matrix.any(axis=0).reshape((dim,) * rho.modes)
+    live = cols.copy()
+    live[:-1] |= cols[1:]
+    return np.flatnonzero(live)
+
+
 def oracle_qfi(rho_of_T, T):
     """SLD QFI of rho(T) on its support, by the exact derivative.
 
@@ -319,10 +336,12 @@ def oracle_qfi(rho_of_T, T):
     losses.  A basis state that neither rho nor d rho / dT reaches (a zero
     column, so by Hermiticity a zero row) is an eigenvector with p = 0 and
     a zero row of M, and adds no term (Liu, Yuan, Lu and Wang, J. Phys. A
-    53, 023001 (2020)); the rest, the live states, are decomposed.  With
-    rho = sum_k p_k |u_k><u_k| there and M = U^+ (d rho / dT) U,
-    F = 2 sum |M_kl|^2 / (p_k + p_l) over the pairs with p_k + p_l > 1e-12.
-    A real rho is decomposed in real arithmetic.
+    53, 023001 (2020)); the rest, the live states (_live_states), are
+    decomposed.  With rho = sum_k p_k |u_k><u_k| there and
+    M = U^+ (d rho / dT) U, F = 2 sum |M_kl|^2 / (p_k + p_l) over the pairs
+    with p_k + p_l > 1e-12.  A real rho is decomposed in real arithmetic.
+    rho is decomposed before d rho / dT is formed, so the decomposition
+    holds no second matrix of rho's size.
 
     Raises ValueError for T outside (0, 1], and when d rho / dT leaves the
     support of rho: the largest dropped |M_kl| above 1e-6 times the
@@ -331,15 +350,14 @@ def oracle_qfi(rho_of_T, T):
     if not 0.0 < T <= 1.0:  # also nan
         raise ValueError(f"transmission T = {T:g} outside (0, 1]")
     rho = rho_of_T(T)
-    drho = loss_generator(rho).matrix * (-1.0 / T)
-    rho = rho.matrix
-    live = np.flatnonzero(rho.any(axis=0) | drho.any(axis=0))  # a zero column is a zero row too
-    if len(live) < len(rho):
-        ix = np.ix_(live, live)
-        rho, drho = rho[ix], drho[ix]
-    p, U = np.linalg.eigh(rho)
+    live = _live_states(rho)
+    # every state live: index with ..., a view of the whole matrix, so that nothing is copied
+    ix = np.ix_(live, live) if len(live) < len(rho.matrix) else ...
+    p, U = np.linalg.eigh(rho.matrix[ix])
+    drho = loss_generator(rho).matrix
     del rho
-    M = np.abs(U.conj().T @ drho @ U)  # |M_kl|; conj() of a real U is U itself
+    drho *= -1.0 / T
+    M = np.abs(U.conj().T @ drho[ix] @ U)  # |M_kl|; conj() of a real U is U itself
     denom = p[:, None] + p[None, :]
     kept = denom > 1e-12  # drop pairs of eigenvalues that are both ~0
     dropped = M[~kept].max(initial=0.0)

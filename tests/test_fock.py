@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -330,6 +331,41 @@ class TestOracleQFI:
             fock.oracle_qfi(
                 lambda t: fock.channel_density(spec, ChannelConfig(T=1.0), n_max=6, T=t), 1.0
             )
+
+    @pytest.mark.parametrize(
+        "spec, channel, n_max",
+        [
+            (StateSpec(StateKind.FOCK, fock_n=4), ChannelConfig(T=1.0), 6),
+            (StateSpec(StateKind.FOCK, fock_n=4), ChannelConfig(T=0.35, T_p=0.9), 8),
+            (coherent_spec(2.0), ChannelConfig(T=1.0), 30),
+            (StateSpec(StateKind.BTMSS, squeeze=SqueezeSpec(s=0.4)), ChannelConfig(T=0.5), 20),
+            (StateSpec(StateKind.BTMSS, squeeze=SqueezeSpec(s=0.4)), ChannelConfig(T=1.0), 20),
+            (seeded_btmss(), ChannelConfig(T=0.45, T_p=0.9, eta_p=0.95, eta_a=0.8), 20),
+        ],
+        ids=["fock-lossless", "fock-lossy", "coherent-lossless", "vtmss-lossless-aux", "vtmss-lossless", "btmss"],
+    )
+    def test_live_states_are_the_columns_rho_or_its_derivative_reach(self, spec, channel, n_max):
+        rho = fock.channel_density(spec, channel, n_max=n_max)
+        exact = np.flatnonzero(rho.matrix.any(axis=0) | fock.loss_generator(rho).matrix.any(axis=0))
+        assert np.array_equal(fock._live_states(rho), exact)
+
+    def test_holds_no_second_matrix_through_the_decomposition(self, monkeypatch):
+        # d rho/dT formed before eigh would add a whole matrix to the oracle's peak
+        ch = ChannelConfig(T=0.45, T_p=0.9, eta_p=0.95, eta_a=0.8)
+        rho_bytes = fock.channel_density(seeded_btmss(), ch, n_max=20).matrix.nbytes
+        eigh, held = np.linalg.eigh, []
+
+        def traced_eigh(a):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", traced_eigh)
+        tracemalloc.start()
+        try:
+            fock.oracle_qfi(lambda t: fock.channel_density(seeded_btmss(), ch, n_max=20, T=t), ch.T)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1 and held[0] < 1.5 * rho_bytes
 
     @pytest.mark.parametrize("T", [0.2, 0.5, 0.8])
     def test_support_trim_equals_the_dense_sum(self, T):

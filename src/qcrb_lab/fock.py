@@ -223,7 +223,7 @@ def channel_density(spec, channel, n_max, T=None):
 
     T, if given, replaces the channel's system transmission.
     """
-    t_p = channel.T_p * (channel.T if T is None else T) * channel.eta_p
+    t_p = channel.probe_transmission_at(channel.T if T is None else T)
     state = build_fock_state(spec, n_max=n_max)
     rho = apply_loss_density(pure_density(state), 0, t_p)
     if state.modes == 2:

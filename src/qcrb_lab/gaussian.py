@@ -119,7 +119,11 @@ class ChannelConfig:
     @property
     def probe_transmission(self):
         """Total transmission seen by the probe mode."""
-        return self.T_p * self.T * self.eta_p
+        return self.probe_transmission_at(self.T)
+
+    def probe_transmission_at(self, T):
+        """The probe's total transmission T_p * T * eta_p with T (a float or an array) for self.T."""
+        return self.T_p * T * self.eta_p
 
 
 @dataclass(frozen=True)
@@ -226,7 +230,7 @@ def channel_scaling(ch, modes, T):
     sees T_p * T * eta_p in one step; the auxiliary mode sees eta_a.  T
     (a float or an array, whose shape leads the result's) stands for ch.T.
     """
-    probe = ch.T_p * np.asarray(T) * ch.eta_p
+    probe = ch.probe_transmission_at(np.asarray(T))
     return np.sqrt(np.where([True, False][:modes] * 2, probe[..., None], ch.eta_a))
 
 

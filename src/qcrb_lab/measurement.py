@@ -4,8 +4,10 @@ Each probe has one saturating measurement, picked by strategy_for:
 direct intensity for the single-mode probes, the gain-optimized
 intensity difference for the bTMSS.  Closed-form variances, error
 propagation to a transmission variance, and a seeded Monte Carlo
-harness that checks the closed forms against empirical estimator
-variance.
+harness that checks the error propagation of the exact count variance
+(diff_variance over the squared slope of the mean) against the
+empirical estimator variance.  transmission_var equals that variance
+in the bright limit only.
 """
 
 import math
@@ -214,12 +216,15 @@ def _exact_joint_probs(spec, channel):
 
 
 def mc_estimate(spec, channel, plan, cfg):
-    """Monte Carlo check of the closed-form transmission variance.
+    """Monte Carlo check of the error-propagated transmission variance.
 
     Samples outcomes of the probe's measurement (strategy_for), inverts
     the mean-response map at the known calibration constants (T_p,
     eta_p, eta_a, g) to form the estimator, and reports the empirical
-    variance with a z-score against the closed form.  Deterministic for
+    variance with a z-score against the closed form
+    diff_variance(m0, channel, g) / slope^2, from the source's exact
+    moments m0 and slope = T_p * eta_p * m0.mean_p.  transmission_var
+    agrees with it in the bright limit only.  Deterministic for
     a fixed (seed, trials) pair: trials are partitioned into fixed-size
     blocks, each drawn from its own counter-based RNG spawned from the
     seed.  The blocks run on the CPUs the process may use, and their sums

@@ -227,7 +227,7 @@ def qfi_gaussian(family, T, bright_limit=False):
             if reached.any():  # the paper's per-photon bound in p = T_p T eta_p caps the whole covariance term
                 ch = family.channel
                 n = math.sinh(family.spec.squeeze.s) ** 2  # the source's noise photons in the probe, exact for a tiny s
-                bound[reached] = (ch.T_p * ch.eta_p) ** 2 * fisher_max(n, ch.T_p * t[reached] * ch.eta_p) / qfi[reached]
+                bound[reached] = (ch.T_p * ch.eta_p) ** 2 * fisher_max(n, ch.probe_transmission_at(t[reached])) / qfi[reached]
         why = (
             "modes too close to pure: rounding ({:.3e}) and pure pairs taking {:.3e} of sigma's largest derivative "
             "(their per-photon bound, {:.3e}) may move the QFI by {:.3e} of itself"

@@ -6,6 +6,7 @@ harness against each other at their stated tolerances.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -52,25 +53,26 @@ class CheckResult:
         return self.max_err <= self.tol
 
 
-def _bright_specs(s):
-    sq = SqueezeSpec(s=s, theta=np.pi)
-    return [
-        StateSpec(StateKind.BTMSS, alpha=ComplexAmplitude(1e3), squeeze=sq),
-        StateSpec(StateKind.BSMSS, alpha=ComplexAmplitude(1e3), squeeze=SqueezeSpec(s=s)),
-        StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(1e3)),
-    ]
+def _bright_specs(s_values):
+    """The coherent probe once, then the bTMSS (theta = pi) and the bSMSS at each s."""
+    alpha = ComplexAmplitude(1e3)
+    specs = [StateSpec(StateKind.COHERENT, alpha=alpha)]
+    for s in s_values:
+        specs.append(StateSpec(StateKind.BTMSS, alpha=alpha, squeeze=SqueezeSpec(s=s, theta=np.pi)))
+        specs.append(StateSpec(StateKind.BSMSS, alpha=alpha, squeeze=SqueezeSpec(s=s)))
+    return specs
 
 
 def check_closed_vs_gaussian():
     """Closed-form Lambda vs bright-limit general Gaussian QFI, one call of each per curve."""
+    specs = _bright_specs(S_GRID)
     worst = 0.0
     for ch_kw in CHANNELS:
         ch = ChannelConfig(**ch_kw)
-        for s in S_GRID:
-            for spec in _bright_specs(s):
-                lam_closed = lambda_curve(spec, ch, T_GRID)
-                lam_gauss = qfi_gaussian(ParamFamily(spec, ch), T_GRID, bright_limit=True).lam
-                worst = max(worst, float(np.max(np.abs(lam_closed - lam_gauss) / lam_closed)))
+        for spec in specs:
+            lam_closed = lambda_curve(spec, ch, T_GRID)
+            lam_gauss = qfi_gaussian(ParamFamily(spec, ch), T_GRID, bright_limit=True).lam
+            worst = max(worst, float(np.max(np.abs(lam_closed - lam_gauss) / lam_closed)))
     return CheckResult("closed_form_vs_gaussian_bright", worst, 1e-6)
 
 
@@ -117,15 +119,15 @@ def check_symplectic_closed_form():
 
 def check_measurement_saturation():
     """Delta^2T * n_r from the measurements equals the lossy Lambda."""
+    specs = [*_bright_specs(S_GRID), StateSpec(StateKind.FOCK, fock_n=20)]
     worst = 0.0
     for ch_kw in CHANNELS:
-        for s in S_GRID:
-            for T in T_GRID:
-                ch = ChannelConfig(T=T, **ch_kw)
-                for spec in [*_bright_specs(s), StateSpec(StateKind.FOCK, fock_n=20)]:
-                    rep = lambda_lossy(spec, ch)
-                    lam_meas = transmission_var(spec, ch) * rep.n_resource
-                    worst = max(worst, abs(lam_meas - rep.lam) / rep.lam)
+        for T in T_GRID:
+            ch = ChannelConfig(T=T, **ch_kw)
+            for spec in specs:
+                rep = lambda_lossy(spec, ch)
+                lam_meas = transmission_var(spec, ch) * rep.n_resource
+                worst = max(worst, abs(lam_meas - rep.lam) / rep.lam)
     return CheckResult("measurement_saturation_identity", worst, 1e-10)
 
 
@@ -139,27 +141,20 @@ def check_fock_oracle_qfi():
     the vacuum TMSS leaves every state with more probe than auxiliary
     photons empty: 435 of the 841 at n_max = 28 are decomposed.
     """
+    cases = [  # (spec, n_max, closed-form QFI at T)
+        (StateSpec(StateKind.FOCK, fock_n=1), 3, partial(fisher_max, 1)),
+        (StateSpec(StateKind.FOCK, fock_n=2), 4, partial(fisher_max, 2)),
+        (StateSpec(StateKind.FOCK, fock_n=5), 7, partial(fisher_max, 5)),
+        (StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(2.0)), 30, lambda T: 4.0 / T),
+        (StateSpec(StateKind.BTMSS, squeeze=SqueezeSpec(s=0.6)), 28, partial(fisher_max, np.sinh(0.6) ** 2)),
+    ]
     worst = 0.0
     for T in (0.2, 0.5, 0.8):
         ch = ChannelConfig(T=T)
-        for n in (1, 2, 5):
-            spec = StateSpec(StateKind.FOCK, fock_n=n)
-            got = fock.oracle_qfi(
-                lambda t: fock.channel_density(spec, ch, n_max=n + 2, T=t), T
-            )
-            want = fisher_max(n, T)
+        for spec, n_max, closed in cases:
+            got = fock.oracle_qfi(lambda t: fock.channel_density(spec, ch, n_max=n_max, T=t), T)
+            want = closed(T)
             worst = max(worst, abs(got - want) / want)
-        coh = StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(2.0))
-        got = fock.oracle_qfi(
-            lambda t: fock.channel_density(coh, ch, n_max=30, T=t), T
-        )
-        worst = max(worst, abs(got - 4.0 / T) / (4.0 / T))
-        vt = StateSpec(StateKind.BTMSS, squeeze=SqueezeSpec(s=0.6))
-        got = fock.oracle_qfi(
-            lambda t: fock.channel_density(vt, ch, n_max=28, T=t), T
-        )
-        want = fisher_max(np.sinh(0.6) ** 2, T)
-        worst = max(worst, abs(got - want) / want)
     return CheckResult("fock_oracle_qfi_vs_closed", worst, 1e-5)
 
 
@@ -193,7 +188,7 @@ def check_moments_vs_fock():
 def check_derivatives():
     """Analytic channel derivatives vs Richardson finite differences."""
     worst = 0.0
-    specs = _bright_specs(1.0)
+    specs = _bright_specs([1.0])
     for ch_kw in CHANNELS:
         for T in (0.1, 0.5, 0.9):
             ch = ChannelConfig(T=T, **ch_kw)
@@ -209,47 +204,23 @@ def check_derivatives():
 
 def check_mc_zscores():
     """|z| < 3 in at least 99% of a 100-configuration battery."""
-    sq = SqueezeSpec(s=1.0, theta=np.pi)
-    configs = []
-    for i, T in enumerate(np.linspace(0.15, 0.9, 25)):
-        configs.append(
-            (
-                StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(200.0)),
-                ChannelConfig(T=T),
-                Sampler.GAUSSIAN_APPROX,
-                1000 + i,
-            )
-        )
-        configs.append(
-            (
-                StateSpec(StateKind.BTMSS, alpha=ComplexAmplitude(200.0), squeeze=sq),
-                ChannelConfig(T=T, T_p=0.95, eta_p=0.97, eta_a=0.96),
-                Sampler.GAUSSIAN_APPROX,
-                2000 + i,
-            )
-        )
-        configs.append(
-            (
-                StateSpec(StateKind.FOCK, fock_n=12),
-                ChannelConfig(T=T, T_p=0.9, eta_p=0.95),
-                Sampler.EXACT,
-                3000 + i,
-            )
-        )
-        configs.append(
-            (
-                StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(60.0)),
-                ChannelConfig(T=T, eta_p=0.9),
-                Sampler.EXACT,
-                4000 + i,
-            )
-        )
+    alpha, sq = ComplexAmplitude(200.0), SqueezeSpec(s=1.0, theta=np.pi)
+    families = [  # (spec, losses, sampler, first seed); the i-th T takes seed first + i
+        (StateSpec(StateKind.COHERENT, alpha=alpha), {}, Sampler.GAUSSIAN_APPROX, 1000),
+        (StateSpec(StateKind.BTMSS, alpha=alpha, squeeze=sq), dict(T_p=0.95, eta_p=0.97, eta_a=0.96),
+         Sampler.GAUSSIAN_APPROX, 2000),
+        (StateSpec(StateKind.FOCK, fock_n=12), dict(T_p=0.9, eta_p=0.95), Sampler.EXACT, 3000),
+        (StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(60.0)), dict(eta_p=0.9), Sampler.EXACT, 4000),
+    ]
+    T_values = np.linspace(0.15, 0.9, 25)
     bad = 0
-    for spec, ch, sampler, seed in configs:
-        res = mc_estimate(spec, ch, MeasurementPlan(), MCConfig(trials=2000, seed=seed, sampler=sampler))
-        if abs(res.z_score) >= 3.0:
-            bad += 1
-    return CheckResult("mc_zscore_battery", bad / len(configs), 0.01)
+    for spec, losses, sampler, first in families:
+        for i, T in enumerate(T_values):
+            res = mc_estimate(spec, ChannelConfig(T=T, **losses), MeasurementPlan(),
+                              MCConfig(trials=2000, seed=first + i, sampler=sampler))
+            if abs(res.z_score) >= 3.0:
+                bad += 1
+    return CheckResult("mc_zscore_battery", bad / (len(families) * len(T_values)), 0.01)
 
 
 def run_battery():

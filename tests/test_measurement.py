@@ -145,17 +145,27 @@ class TestGainOptimization:
         want = var_p - ch.eta_a * t_p**2 * m0.cov_pa**2 / denom
         assert diff_variance(m0, ch, g) == pytest.approx(want, rel=1e-12)
 
-    def test_error_propagation_cross_check(self):
-        # diff route via explicit variance / slope^2 vs the closed form
-        spec = btmss(s=1.0)
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            btmss(s=1.0),
+            StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(1e3)),
+            StateSpec(StateKind.BSMSS, alpha=ComplexAmplitude(1e3), squeeze=SqueezeSpec(s=1.0)),
+        ],
+        ids=["btmss", "coherent", "bsmss"],
+    )
+    def test_error_propagation_cross_check(self, spec):
+        # mc_estimate's closed form, the count variance over the squared
+        # slope of its mean, vs transmission_var
         m0 = source_moments(spec)
         ch = ChannelConfig(T=0.5, T_p=0.95, eta_p=0.97, eta_a=0.96)
-        g = optimal_gain(m0, ch)
+        g = optimal_gain(m0, ch) if spec.kind is StateKind.BTMSS else 0.0
         slope = ch.T_p * ch.eta_p * m0.mean_p
         explicit = diff_variance(m0, ch, g) / slope**2
         closed = transmission_var(spec, ch)
         # the closed form uses the stimulated (not total) photon number;
         # at |alpha|^2 = 1e6 they agree to the spontaneous/stimulated ratio
+        # (exactly for the coherent probe, 2.6e-5 for the bSMSS at s = 1)
         assert explicit == pytest.approx(closed, rel=1e-4)
 
 

@@ -9,7 +9,8 @@
 # probe, report for the four probes and the doubly seeded warning case, mc with
 # both samplers and --gain, at up to 2 and at 7-123 RNG blocks, an Exact vacuum
 # bTMSS over 1001^2 outcomes, refused inputs,
-# validate, and every demos/*.py),
+# validate, each battery check's max_err as float.hex() from run_battery(),
+# and every demos/*.py),
 # then compares stdout, stderr and exit code of each pair.  Prints one line per
 # command and exits 1 on any difference, 0 when all are identical.  Writes only
 # under a temporary directory: each command runs there, without bytecode.
@@ -101,6 +102,9 @@ for args in "${COMMANDS[@]}"; do
     # shellcheck disable=SC2086
     compare "qcrb-lab $args" -m qcrb_lab.cli $args
 done
+# validate prints 4 significant digits; this compares every max_err bit for bit
+compare "run_battery() max_err as float.hex()" -c \
+    "from qcrb_lab.validate import run_battery; print(*(r.name + ' ' + float(r.max_err).hex() for r in run_battery()), sep='\n')"
 for demo in "$change"/demos/*.py; do
     # each checkout runs its own copy; one missing from the parent differs on stderr
     compare "demos/$(basename "$demo")" "@DIR@/demos/$(basename "$demo")"

@@ -7,16 +7,16 @@ direct summation, and QFI via eigendecomposition of the density matrix.
 An expansion with no imaginary part is kept real, so its density
 matrix, loss channel and eigendecomposition run in real arithmetic.
 
-Loss is binomial thinning, so photon-count statistics need only |c|^2
-and one binomial table per loss (thinned_probs); no density matrix is
-formed.  The QFI (oracle_qfi) builds the density matrix once,
+A pure state is its array of coefficients c (build_fock_state).  Loss
+is binomial thinning, so photon-count statistics need only |c|^2 and one
+binomial table per loss (channel_probs); no density matrix is formed.  The QFI (oracle_qfi) builds the density matrix once,
 decomposes it on its support (the basis states that rho or d rho/dT
 reach, the same computation for every probe) and then takes its
 T-derivative exactly from the amplitude-damping generator
 (loss_generator).  Intended for mean photon numbers of order a few.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,22 +27,6 @@ TAIL_TOL = 1e-10
 
 class TruncationError(ValueError):
     """Raised when the truncated basis cannot hold the requested state."""
-
-
-@dataclass(frozen=True)
-class FockVector:
-    """Pure state over the truncated number basis.
-
-    coeffs is 1-D (length n_max+1) for a single mode or 2-D
-    ((n_max+1)^2) for two modes with axes (probe, auxiliary).
-    """
-
-    coeffs: np.ndarray
-    n_max: int
-
-    @property
-    def modes(self):
-        return self.coeffs.ndim
 
 
 @dataclass(frozen=True)
@@ -59,9 +43,10 @@ class FockDensity:
         return self.matrix.reshape(shape)
 
 
-def _check_tail(coeffs, n_max):
-    probs = np.abs(coeffs) ** 2
-    if coeffs.ndim == 1:
+def _check_tail(c):
+    n_max = len(c) - 1
+    probs = np.abs(c) ** 2
+    if c.ndim == 1:
         tail = probs[n_max - 1 :].sum()
     else:
         tail = probs[n_max - 1 :, :].sum() + probs[: n_max - 1, n_max - 1 :].sum()
@@ -105,16 +90,19 @@ def _btmss_coeffs(alpha, beta, s, theta, n_max):
 def build_fock_state(spec, n_max):
     """Expand a StateSpec in the truncated number basis (Yuen ordering).
 
-    The coefficients are float64 when the expansion has no imaginary part
-    (a Fock state, a real-alpha coherent state, a vacuum TMSS at
-    theta = 0), complex otherwise.
+    Returns the coefficient array: length n_max + 1 for one mode, and
+    (n_max + 1, n_max + 1) with axes (probe, auxiliary) for two, so that
+    n_max = len(c) - 1 and the mode count is c.ndim.  The coefficients are
+    float64 when the expansion has no imaginary part (a Fock state, a
+    real-alpha coherent state, a vacuum TMSS at theta = 0), complex
+    otherwise.
     """
     if spec.kind is StateKind.FOCK:
         if spec.fock_n > n_max - 2:
             raise TruncationError("n_max too small for the requested Fock state")
         c = np.zeros(n_max + 1)
         c[spec.fock_n] = 1.0
-        return FockVector(coeffs=c, n_max=n_max)
+        return c
     # a state too wide for n_max may overflow its expansion to inf and nan; _check_tail refuses it
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind is StateKind.BTMSS:
@@ -131,10 +119,10 @@ def build_fock_state(spec, n_max):
         norm = np.linalg.norm(c)  # an overflowed norm left all zeros, which pass _check_tail: 0/0 makes them nan
         if abs(norm - 1.0) > 1e-6:
             c = c / norm
-    _check_tail(c, n_max)
+    _check_tail(c)
     if not c.imag.any():
         c = np.ascontiguousarray(c.real)
-    return FockVector(coeffs=c, n_max=n_max)
+    return c
 
 
 def _pascal_step(row, t):
@@ -175,12 +163,10 @@ def binomial_table(n_max, t):
     return table
 
 
-def pure_density(state):
-    """Density matrix |psi><psi| of a pure state."""
-    v = state.coeffs.reshape(-1)
-    return FockDensity(
-        matrix=np.outer(v, v.conj()), n_max=state.n_max, modes=state.modes
-    )
+def pure_density(c):
+    """Density matrix |psi><psi| of a pure state's coefficient array."""
+    v = c.reshape(-1)
+    return FockDensity(matrix=np.outer(v, v.conj()), n_max=len(c) - 1, modes=c.ndim)
 
 
 def apply_loss_density(rho, mode, t):
@@ -213,9 +199,7 @@ def apply_loss_density(rho, mode, t):
         pair = (kernel @ pair.reshape(n, -1)).reshape(pair.shape)
         rows[upper][:n], rows[lower][:n] = pair[:, 0], pair[:, 1]
     out = np.moveaxis(work, (0, 1), axes)
-    return FockDensity(
-        matrix=out.reshape(rho.matrix.shape), n_max=rho.n_max, modes=rho.modes
-    )
+    return replace(rho, matrix=out.reshape(rho.matrix.shape))
 
 
 def channel_density(spec, channel, n_max, T=None):
@@ -224,36 +208,35 @@ def channel_density(spec, channel, n_max, T=None):
     T, if given, replaces the channel's system transmission.
     """
     t_p = channel.probe_transmission_at(channel.T if T is None else T)
-    state = build_fock_state(spec, n_max=n_max)
-    rho = apply_loss_density(pure_density(state), 0, t_p)
-    if state.modes == 2:
+    c = build_fock_state(spec, n_max=n_max)
+    rho = apply_loss_density(pure_density(c), 0, t_p)
+    if c.ndim == 2:
         rho = apply_loss_density(rho, 1, channel.eta_a)
     return rho
 
 
-def thinned_probs(state, t_p=1.0, t_a=1.0):
-    """Photon-count distribution of a pure state after loss.
+def channel_probs(spec, channel, n_max):
+    """Photon-count distribution after the full loss chain.
 
     Each photon survives independently, so P' = K(t_p)^T |c|^2 K(t_a)
-    with K the binomial table; equal to the diagonal of the lossy density
-    matrix without forming it.  1-D for one mode, (probe, auxiliary) for
-    two.
+    with K the binomial table; equal to the diagonal of channel_density
+    without forming it.  A loss with unit transmission skips its table,
+    so a lossless channel gives |c|^2 itself.  1-D for one mode,
+    (probe, auxiliary) for two.
+
+    A real c is promoted to complex before |c|^2 is taken, so that the
+    sums take the same strided path and a real expansion gives the bits
+    of its complex form; without it a lossy coherent state's counts move
+    in their last bits (by 1.7e-24 at alpha = 1.4).
     """
-    # the real part of a complex product for a real c too: the sums below take the
-    # same strided path, so a real expansion gives the bits of its complex form
-    c = state.coeffs.astype(complex, copy=False)
+    t_p, t_a = channel.probe_transmission, channel.eta_a
+    c = build_fock_state(spec, n_max=n_max).astype(complex, copy=False)
     probs = (c * c.conj()).real
     if t_p != 1.0:
-        probs = binomial_table(state.n_max, t_p).T @ probs
-    if state.modes == 2 and t_a != 1.0:
-        probs = probs @ binomial_table(state.n_max, t_a)
+        probs = binomial_table(n_max, t_p).T @ probs
+    if c.ndim == 2 and t_a != 1.0:
+        probs = probs @ binomial_table(n_max, t_a)
     return probs
-
-
-def channel_probs(spec, channel, n_max):
-    """Photon-count distribution after the full loss chain (see thinned_probs)."""
-    state = build_fock_state(spec, n_max=n_max)
-    return thinned_probs(state, channel.probe_transmission, channel.eta_a)
 
 
 def count_moments(probs):
@@ -304,9 +287,7 @@ def loss_generator(rho):
     lower[0] = lower[rho.modes] = slice(None, -1)
     upper[0] = upper[rho.modes] = slice(1, None)
     out[tuple(lower)] += np.sqrt(n_row * n_col)[tuple(upper)] * t[tuple(upper)]
-    return FockDensity(
-        matrix=out.reshape(rho.matrix.shape), n_max=rho.n_max, modes=rho.modes
-    )
+    return replace(rho, matrix=out.reshape(rho.matrix.shape))
 
 
 def _live_states(rho):

@@ -8,7 +8,8 @@
 # figure3 as CSV and JSON on the default and a 999-point grid, one sweep per
 # probe, report for the four probes and the doubly seeded warning case, mc with
 # both samplers and --gain, at up to 2 and at 7-123 RNG blocks, an Exact vacuum
-# bTMSS over 1001^2 outcomes, refused inputs,
+# bTMSS over 1001^2 outcomes and one through both losses of its real expansion,
+# refused inputs,
 # validate, each battery check's max_err as float.hex() from run_battery(),
 # and every demos/*.py),
 # then compares stdout, stderr and exit code of each pair.  Prints one line per
@@ -57,6 +58,7 @@ COMMANDS=(
     "mc --state btmss --alpha 1.3 --s 0.35 --theta $PI --T 0.6 --sampler exact --trials 300001 --seed 11"
     "mc --state btmss --alpha 500 --s 1 --theta $PI --T 0.6 --eta-a 0.95 --trials 2000001 --seed 12"
     "mc --state btmss --s 2.5 --T 0.5 --sampler exact --trials 100000 --seed 13"
+    "mc --state btmss --s 0.8 --T 0.5 --eta-a 0.9 --sampler exact --seed 14"
     "report --state fock --fock-n 2.5 --T 0.5"
     "report --state coherent --alpha 1e200 --T 0.5"
     "report --state btmss --beta 1e155 --s 355 --T 0.5"

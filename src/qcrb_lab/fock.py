@@ -8,8 +8,9 @@ An expansion with no imaginary part is kept real, so its density
 matrix, loss channel and eigendecomposition run in real arithmetic.
 
 A pure state is its array of coefficients c (build_fock_state).  Loss
-is binomial thinning, so photon-count statistics need only |c|^2 and one
-binomial table per loss (channel_probs); no density matrix is formed.  The QFI (oracle_qfi) builds the density matrix once,
+is binomial thinning, so photon-count statistics need only |c|^2 and
+one binomial table per loss (channel_probs); no density matrix is
+formed.  The QFI (oracle_qfi) builds the density matrix once,
 decomposes it on its support (the basis states that rho or d rho/dT
 reach, the same computation for every probe) and then takes its
 T-derivative exactly from the amplitude-damping generator
@@ -23,6 +24,10 @@ import numpy as np
 from .gaussian import Moments, SqueezeSpec, StateKind
 
 TAIL_TOL = 1e-10
+# oracle_qfi drops the pairs of eigenvalues with p_k + p_l <= PAIR_TOL.  A dense eigh leaves an empty state's
+# eigenvalue within about 1.4e-16 of 0 (vacuum TMSS, n_max 28); at 1e-15 the dense and support-trimmed sums
+# part by 7.1e-13.  A cut of 1e-12 dropped live pairs: 4.3e-10 against fisher_max on the same state.
+PAIR_TOL = 1e-14
 
 
 class TruncationError(ValueError):
@@ -44,12 +49,10 @@ class FockDensity:
 
 
 def _check_tail(c):
-    n_max = len(c) - 1
-    probs = np.abs(c) ** 2
-    if c.ndim == 1:
-        tail = probs[n_max - 1 :].sum()
-    else:
-        tail = probs[n_max - 1 :, :].sum() + probs[: n_max - 1, n_max - 1 :].sum()
+    probs = np.abs(c) ** 2  # tail: the mass on the two highest number states of either mode
+    tail = probs[-2:].sum()
+    if c.ndim == 2:
+        tail += probs[:-2, -2:].sum()
     if not tail <= TAIL_TOL:  # nan: the expansion overflowed
         raise TruncationError(
             f"tail mass {tail:.3e} above {TAIL_TOL:.0e}; increase n_max"
@@ -90,13 +93,13 @@ def _btmss_coeffs(alpha, beta, s, theta, n_max):
 def build_fock_state(spec, n_max):
     """Expand a StateSpec in the truncated number basis (Yuen ordering).
 
-    Returns the coefficient array: length n_max + 1 for one mode, and
-    (n_max + 1, n_max + 1) with axes (probe, auxiliary) for two, so that
-    n_max = len(c) - 1 and the mode count is c.ndim.  The coefficients are
-    float64 when the expansion has no imaginary part (a Fock state, a
-    real-alpha coherent state, a vacuum TMSS at theta = 0), complex
-    otherwise.
+    Returns the coefficients c, of shape (n_max + 1,) for one mode and
+    (n_max + 1, n_max + 1) with axes (probe, auxiliary) for two: float64
+    when the expansion has no imaginary part (a Fock state, a real-alpha
+    coherent state, a vacuum TMSS at theta = 0), complex otherwise.
     """
+    if not isinstance(n_max, (int, np.integer)) or n_max < 2:
+        raise ValueError(f"n_max must be an integer >= 2, got {n_max!r}")
     if spec.kind is StateKind.FOCK:
         if spec.fock_n > n_max - 2:
             raise TruncationError("n_max too small for the requested Fock state")
@@ -105,16 +108,10 @@ def build_fock_state(spec, n_max):
         return c
     # a state too wide for n_max may overflow its expansion to inf and nan; _check_tail refuses it
     with np.errstate(over="ignore", invalid="ignore"):
+        sq = SqueezeSpec() if spec.kind is StateKind.COHERENT else spec.squeeze  # coherent: the s = 0 bSMSS
         if spec.kind is StateKind.BTMSS:
-            c = _btmss_coeffs(
-                spec.alpha.value,
-                spec.beta.value,
-                spec.squeeze.s,
-                spec.squeeze.theta,
-                n_max,
-            )
+            c = _btmss_coeffs(spec.alpha.value, spec.beta.value, sq.s, sq.theta, n_max)
         else:
-            sq = SqueezeSpec() if spec.kind is StateKind.COHERENT else spec.squeeze  # coherent: the s = 0 bSMSS
             c = _smss_coeffs(spec.alpha.value, sq.s, sq.theta, n_max)
         norm = np.linalg.norm(c)  # an overflowed norm left all zeros, which pass _check_tail: 0/0 makes them nan
         if abs(norm - 1.0) > 1e-6:
@@ -219,10 +216,10 @@ def channel_probs(spec, channel, n_max):
     """Photon-count distribution after the full loss chain.
 
     Each photon survives independently, so P' = K(t_p)^T |c|^2 K(t_a)
-    with K the binomial table; equal to the diagonal of channel_density
-    without forming it.  A loss with unit transmission skips its table,
-    so a lossless channel gives |c|^2 itself.  1-D for one mode,
-    (probe, auxiliary) for two.
+    with K the binomial table: the diagonal of channel_density, without
+    forming it.  A unit transmission skips its table, so a lossless
+    channel gives |c|^2 itself.  1-D for one mode, (probe, auxiliary) for
+    two.
 
     A real c is promoted to complex before |c|^2 is taken, so that the
     sums take the same strided path and a real expansion gives the bits
@@ -320,7 +317,7 @@ def oracle_qfi(rho_of_T, T):
     53, 023001 (2020)); the rest, the live states (_live_states), are
     decomposed.  With rho = sum_k p_k |u_k><u_k| there and
     M = U^+ (d rho / dT) U, F = 2 sum |M_kl|^2 / (p_k + p_l) over the pairs
-    with p_k + p_l > 1e-12.  A real rho is decomposed in real arithmetic.
+    with p_k + p_l > PAIR_TOL.  A real rho is decomposed in real arithmetic.
     rho is decomposed before d rho / dT is formed, so the decomposition
     holds no second matrix of rho's size.
 
@@ -340,8 +337,9 @@ def oracle_qfi(rho_of_T, T):
     drho *= -1.0 / T
     M = np.abs(U.conj().T @ drho[ix] @ U)  # |M_kl|; conj() of a real U is U itself
     denom = p[:, None] + p[None, :]
-    kept = denom > 1e-12  # drop pairs of eigenvalues that are both ~0
+    kept = denom > PAIR_TOL
     dropped = M[~kept].max(initial=0.0)
+    # valid points read <= 3.9e-13 (5.7e-11 at a 1e-12 cut), a lossless Fock state at T = 1 exactly 1
     if dropped > 1e-6 * M[kept].max(initial=0.0):
         raise ValueError(
             f"d rho/dT leaves the support of rho at T = {T:g} (dropped block "

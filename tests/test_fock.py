@@ -20,7 +20,7 @@ from qcrb_lab.gaussian import (
     StateKind,
     StateSpec,
 )
-from qcrb_lab.qfi import fisher_max, fock_qfi_lossy, lambda_lossy
+from qcrb_lab.qfi import ParamFamily, fisher_max, fock_qfi_lossy, lambda_lossy, qfi_gaussian
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,13 +45,20 @@ def seeded_btmss():
     )
 
 
+LOSSY = dict(T_p=0.9, eta_p=0.95, eta_a=0.9)
+
+
+def gaussian_qfi(spec, channel):
+    return qfi_gaussian(ParamFamily(spec, channel), channel.T).qfi
+
+
 def dense_oracle_qfi(rho, T):
     """The SLD sum with one eigendecomposition of the whole matrix, empty basis states included."""
     drho = -fock.loss_generator(rho).matrix / T
     p, U = np.linalg.eigh(rho.matrix)
     M = np.abs(U.conj().T @ drho @ U)
     denom = p[:, None] + p[None, :]
-    kept = denom > 1e-12
+    kept = denom > fock.PAIR_TOL
     return float(2.0 * np.sum(M[kept] ** 2 / denom[kept]))
 
 
@@ -138,6 +145,26 @@ class TestStateBuilders:
         spec = StateSpec(kind, alpha=ComplexAmplitude(355.0))
         with pytest.raises(fock.TruncationError, match="nan"):
             fock.build_fock_state(spec, n_max=90)
+
+    @pytest.mark.parametrize("n_max", [-1, 0, 1, 2.5])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            StateSpec(StateKind.FOCK, fock_n=0),
+            coherent_spec(0.5),
+            StateSpec(StateKind.BSMSS, alpha=ComplexAmplitude(0.5), squeeze=SqueezeSpec(s=0.3)),
+            seeded_btmss(),
+        ],
+        ids=["fock", "coherent", "bsmss", "btmss"],
+    )
+    def test_refuses_an_n_max_that_holds_no_state(self, spec, n_max):
+        with pytest.raises(ValueError, match="n_max") as info:
+            fock.build_fock_state(spec, n_max=n_max)
+        assert not isinstance(info.value, fock.TruncationError)
+
+    def test_numpy_integer_n_max_accepted(self):
+        vec = fock.build_fock_state(StateSpec(StateKind.FOCK, fock_n=0), n_max=np.int64(2))
+        assert vec.tolist() == [1.0, 0.0, 0.0]
 
     def test_fock_state_vector(self):
         vec = fock.build_fock_state(StateSpec(StateKind.FOCK, fock_n=3), n_max=10)
@@ -303,6 +330,37 @@ class TestOracleQFI:
         )
         want = qfi_gaussian(ParamFamily(seeded_btmss(), ch), T).qfi
         assert got == pytest.approx(want, rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "spec, channel_kw, n_max, want",
+        [  # the battery's lossless points against closed forms, then lossy points against qfi_gaussian
+            (StateSpec(StateKind.FOCK, fock_n=1), {}, 3, lambda spec, ch: fisher_max(1, ch.T)),
+            (StateSpec(StateKind.FOCK, fock_n=2), {}, 4, lambda spec, ch: fisher_max(2, ch.T)),
+            (StateSpec(StateKind.FOCK, fock_n=5), {}, 7, lambda spec, ch: fisher_max(5, ch.T)),
+            (coherent_spec(2.0), {}, 30, lambda spec, ch: 4.0 / ch.T),
+            (
+                StateSpec(StateKind.BTMSS, squeeze=SqueezeSpec(s=0.6)),
+                {},
+                28,
+                lambda spec, ch: fisher_max(np.sinh(0.6) ** 2, ch.T),
+            ),
+            (StateSpec(StateKind.BTMSS, squeeze=SqueezeSpec(s=0.6)), LOSSY, 28, gaussian_qfi),
+            (
+                StateSpec(StateKind.BSMSS, alpha=ComplexAmplitude(1.0), squeeze=SqueezeSpec(s=0.4)),
+                LOSSY,
+                40,
+                gaussian_qfi,
+            ),
+            (coherent_spec(2.0), LOSSY, 30, gaussian_qfi),
+        ],
+        ids=["fock1", "fock2", "fock5", "coherent", "vtmss", "lossy-vtmss", "lossy-bsmss", "lossy-coherent"],
+    )
+    def test_agrees_with_closed_forms_and_the_gaussian_qfi(self, spec, channel_kw, n_max, want):
+        # worst seen: 3.4e-12 lossless, 5.8e-12 / 7.4e-13 / 2.9e-15 lossy (3.8e-10 at a pair cut of 1e-12)
+        for T in (0.2, 0.5, 0.8):
+            ch = ChannelConfig(T=T, **channel_kw)
+            got = fock.oracle_qfi(lambda t: fock.channel_density(spec, ch, n_max=n_max, T=t), T)
+            assert got == pytest.approx(want(spec, ch), rel=2e-11, abs=0)
 
     def test_calls_rho_of_T_once(self):
         spec = StateSpec(StateKind.FOCK, fock_n=3)

@@ -26,7 +26,7 @@ from .gaussian import Moments, SqueezeSpec, StateKind
 TAIL_TOL = 1e-10
 # oracle_qfi drops the pairs of eigenvalues with p_k + p_l <= PAIR_TOL.  A dense eigh leaves an empty state's
 # eigenvalue within about 1.4e-16 of 0 (vacuum TMSS, n_max 28); at 1e-15 the dense and support-trimmed sums
-# part by 7.1e-13.  A cut of 1e-12 dropped live pairs: 4.3e-10 against fisher_max on the same state.
+# part by 7.1e-13.  A cut of 1e-12 drops live pairs: 4.3e-10 against fisher_max on the same state.
 PAIR_TOL = 1e-14
 
 
@@ -339,7 +339,7 @@ def oracle_qfi(rho_of_T, T):
     denom = p[:, None] + p[None, :]
     kept = denom > PAIR_TOL
     dropped = M[~kept].max(initial=0.0)
-    # valid points read <= 3.9e-13 (5.7e-11 at a 1e-12 cut), a lossless Fock state at T = 1 exactly 1
+    # valid oracle points read <= 3.9e-13; a lossless Fock state at T = 1 reads exactly 1
     if dropped > 1e-6 * M[kept].max(initial=0.0):
         raise ValueError(
             f"d rho/dT leaves the support of rho at T = {T:g} (dropped block "

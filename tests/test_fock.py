@@ -356,7 +356,7 @@ class TestOracleQFI:
         ids=["fock1", "fock2", "fock5", "coherent", "vtmss", "lossy-vtmss", "lossy-bsmss", "lossy-coherent"],
     )
     def test_agrees_with_closed_forms_and_the_gaussian_qfi(self, spec, channel_kw, n_max, want):
-        # worst seen: 3.4e-12 lossless, 5.8e-12 / 7.4e-13 / 2.9e-15 lossy (3.8e-10 at a pair cut of 1e-12)
+        # worst seen: 3.4e-12 lossless (vacuum TMSS), 5.8e-12 / 7.4e-13 / 2.9e-15 lossy
         for T in (0.2, 0.5, 0.8):
             ch = ChannelConfig(T=T, **channel_kw)
             got = fock.oracle_qfi(lambda t: fock.channel_density(spec, ch, n_max=n_max, T=t), T)

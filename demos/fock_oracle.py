@@ -11,7 +11,7 @@ import numpy as np
 
 from qcrb_lab import ChannelConfig, ComplexAmplitude, SqueezeSpec, StateKind, StateSpec
 from qcrb_lab import fock
-from qcrb_lab.qfi import fisher_max, fock_qfi_lossy
+from qcrb_lab.qfi import fisher_max
 
 T = 0.5
 ch = ChannelConfig(T=T)
@@ -41,8 +41,9 @@ for name, spec, n_max, want in cases:
     )
     print(f"{name:22s} {got:15.8f} {want:15.8f}   {abs(got - want) / want:.2e}")
 
-# with losses the Fock density matrix is binomial-diagonal, so the QFI
-# has an explicit sum -- compare it against the eigendecomposition route
+# with losses the Fock density matrix is binomial-diagonal, rho_k = C(n,k) p^k (1-p)^(n-k)
+# with p = T_p T eta_p, so the QFI is the explicit sum of (d rho_k / dT)^2 / rho_k --
+# compare it against the eigendecomposition route
 lossy = ChannelConfig(T=T, T_p=0.9, eta_p=0.95)
 n = 6
 got = fock.oracle_qfi(
@@ -51,5 +52,8 @@ got = fock.oracle_qfi(
     ),
     T,
 )
-want = fock_qfi_lossy(n, lossy).qfi
+p = lossy.probe_transmission
+rho = fock.binomial_table(n, p)[n]
+drho = rho * (np.arange(n + 1) - n * p) / (p * (1.0 - p)) * (lossy.T_p * lossy.eta_p)
+want = float(np.sum(drho**2 / rho))
 print(f"\nlossy Fock n={n}: oracle {got:.8f} vs binomial sum {want:.8f}")

@@ -136,20 +136,6 @@ def _check_transmission(t):
         raise ValueError("transmission outside [0, 1]")
 
 
-def binomial_pmf(n, t):
-    """C(n, k) t^k (1-t)^(n-k) for k = 0 .. n.
-
-    Built by Pascal's rule: every step is a convex combination of
-    non-negative numbers, so nothing overflows or cancels.  O(n) memory
-    and O(n^2) time.
-    """
-    _check_transmission(t)
-    row = np.ones(1)
-    for _ in range(n):
-        row = _pascal_step(row, t)
-    return row
-
-
 def binomial_table(n_max, t):
     """K[n, m] = C(n, m) t^m (1-t)^(n-m): the chance that m of n photons survive."""
     _check_transmission(t)
@@ -219,15 +205,10 @@ def channel_probs(spec, channel, n_max):
     with K the binomial table: the diagonal of channel_density, without
     forming it.  A unit transmission skips its table, so a lossless
     channel gives |c|^2 itself.  1-D for one mode, (probe, auxiliary) for
-    two.
-
-    A real c is promoted to complex before |c|^2 is taken, so that the
-    sums take the same strided path and a real expansion gives the bits
-    of its complex form; without it a lossy coherent state's counts move
-    in their last bits (by 1.7e-24 at alpha = 1.4).
+    two.  A real expansion is squared and thinned in float64.
     """
     t_p, t_a = channel.probe_transmission, channel.eta_a
-    c = build_fock_state(spec, n_max=n_max).astype(complex, copy=False)
+    c = build_fock_state(spec, n_max=n_max)
     probs = (c * c.conj()).real
     if t_p != 1.0:
         probs = binomial_table(n_max, t_p).T @ probs

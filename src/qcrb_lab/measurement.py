@@ -103,13 +103,19 @@ def optimal_gain(moments0, channel):
     return channel.probe_transmission * moments0.cov_pa / denom
 
 
-def diff_variance(moments0, channel, g):
-    """Variance of n_p - g n_a after the full loss chain."""
+def _diff_terms(moments0, channel, g):
+    """The terms of diff_variance: var(n_p), g^2 var(n_a) and -2 g cov(n_p, n_a) after the loss chain."""
     t_p = channel.probe_transmission
     t_a = channel.eta_a
     _, var_p = thinned_stats(moments0.mean_p, moments0.var_p, t_p)
     _, var_a = thinned_stats(moments0.mean_a, moments0.var_a, t_a)
-    return var_p + g * g * var_a - 2.0 * g * t_p * t_a * moments0.cov_pa
+    return var_p, g * g * var_a, -2.0 * g * t_p * t_a * moments0.cov_pa
+
+
+def diff_variance(moments0, channel, g):
+    """Variance of n_p - g n_a after the full loss chain."""
+    var_p, var_a, cross = _diff_terms(moments0, channel, g)
+    return var_p + var_a + cross
 
 
 def transmission_var(spec, channel):
@@ -224,7 +230,9 @@ def mc_estimate(spec, channel, plan, cfg):
     variance with a z-score against the closed form
     diff_variance(m0, channel, g) / slope^2, from the source's exact
     moments m0 and slope = T_p * eta_p * m0.mean_p.  transmission_var
-    agrees with it in the bright limit only.  Deterministic for
+    agrees with it in the bright limit only.  Refuses where the terms of
+    diff_variance cancel so far that their rounding may move it by more
+    than 1e-8 of itself (a bTMSS at large squeezing).  Deterministic for
     a fixed (seed, trials) pair: trials are partitioned into fixed-size
     blocks, each drawn from its own counter-based RNG spawned from the
     seed.  The blocks run on the CPUs the process may use, and their sums
@@ -249,7 +257,15 @@ def mc_estimate(spec, channel, plan, cfg):
     if strategy is Strategy.INTENSITY_DIFF:
         g = plan.gain if plan.gain is not None else optimal_gain(m0, channel)
     offset = g * channel.eta_a * m0.mean_a
-    closed_var_T = diff_variance(m0, channel, g) / slope**2
+    var = diff_variance(m0, channel, g)
+    # each term keeps a rounding error of about eps of its size, which their cancellation leaves in var
+    spread = np.finfo(float).eps * sum(map(abs, _diff_terms(m0, channel, g)))
+    if spread > 1e-8 * abs(var):
+        raise ValueError(
+            f"the closed-form count variance {var:.3e} cancels: rounding in its terms ({spread:.3e}) "
+            "may move it by more than 1e-8 of itself"
+        )
+    closed_var_T = var / slope**2
     se = closed_var_T * math.sqrt(2.0 / (cfg.trials - 1))
     if not se > 0:  # a noiseless count (T = 0 or 1) or an underflow
         raise ValueError("the closed-form variance is 0: the z-score is undefined")

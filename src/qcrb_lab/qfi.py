@@ -3,8 +3,8 @@
 Computes the general Gaussian QFI (the SLD sum over a Williamson
 decomposition of the covariance matrix plus a displacement term), the closed-form
 estimation functions for coherent / bright squeezed / Fock probes with
-and without external losses, the lossy Fock QFI from its binomial density
-matrix, and the maximum Fisher bound.
+and without external losses, the maximum Fisher bound and the per-photon
+bound through the loss chain, which is the lossy Fock QFI.
 """
 
 import math
@@ -13,7 +13,6 @@ from enum import Enum
 
 import numpy as np
 
-from .fock import binomial_pmf
 from .gaussian import (
     ChannelConfig,
     Moments,
@@ -36,14 +35,11 @@ PURE_TOL = 1e-12
 # channels, s <= 14 and T <= 1 - 1e-6, bright-limit relative errors stayed below 2e-10 up to 1e3,
 # reached 6e-5 by 1e6 and 5e-2 by 1e9; from 2e10 the covariance solves went singular.
 SIGMA_MAX = 1e3
-# Largest n fock_qfi_lossy takes: its O(n^2) binomial sum costs 0.16 s here on 2 vCPUs (0.6 s at 2e4).
-FOCK_QFI_N_MAX = 10**4
 
 
 class QFIMethod(Enum):
     CLOSED_FORM = "ClosedForm"
     GAUSSIAN_GENERAL = "GaussianGeneral"
-    FOCK_SUM = "FockSum"
 
 
 @dataclass(frozen=True)
@@ -71,6 +67,16 @@ def fisher_max(n_resource, T):
     if not 0 < n_resource < math.inf:
         raise ValueError("n_resource must be finite and > 0")
     return n_resource / (T * (1.0 - T))
+
+
+def per_photon_qfi(n, channel, T):
+    """Per-photon bound (T_p eta_p)^2 n / (p (1 - p)), p = T_p T eta_p, elementwise over T.
+
+    The QFI of n photons through the loss chain: an n-photon Fock probe attains it, and no probe
+    of n photons in the probe mode exceeds it (Monras and Paris, PRL 98, 160401 (2007)).
+    T (a float or an array) replaces channel.T.
+    """
+    return (channel.T_p * channel.eta_p) ** 2 * fisher_max(n, channel.probe_transmission_at(T))
 
 
 def big_theta(spec):
@@ -225,9 +231,8 @@ def qfi_gaussian(family, T, bright_limit=False):
             # a rounding error of about eps * max sigma in each lam moves each term by that over |P - 1|
             err = 3e-16 * sigma_max * np.abs(term / gap).sum(axis=(1, 2)) / qfi
             if reached.any():  # the paper's per-photon bound in p = T_p T eta_p caps the whole covariance term
-                ch = family.channel
                 n = math.sinh(family.spec.squeeze.s) ** 2  # the source's noise photons in the probe, exact for a tiny s
-                bound[reached] = (ch.T_p * ch.eta_p) ** 2 * fisher_max(n, ch.probe_transmission_at(t[reached])) / qfi[reached]
+                bound[reached] = per_photon_qfi(n, family.channel, t[reached]) / qfi[reached]
         why = (
             "modes too close to pure: rounding ({:.3e}) and pure pairs taking {:.3e} of sigma's largest derivative "
             "(their per-photon bound, {:.3e}) may move the QFI by {:.3e} of itself"
@@ -331,22 +336,12 @@ def lossy_symplectic_closed_form(squeeze, channel):
 
 
 def fock_qfi_lossy(n, channel):
-    """QFI of an n-photon Fock probe from its binomial lossy density matrix.
+    """QFI of an n-photon Fock probe through the loss chain: the per-photon bound, which it attains.
 
-    The lossy Fock state is diagonal in the number basis with weights
-    rho_k = C(n,k) p^k (1-p)^(n-k), p = T_p T eta_p, so the QFI reduces
-    to sum_k (d rho_k / dT)^2 / rho_k.
+    The lossy state is diagonal in the number basis, rho_k = C(n,k) p^k (1-p)^(n-k) with
+    p = T_p T eta_p, so its QFI is the binomial Fisher information n / (p (1 - p)) times
+    (dp/dT)^2 = (T_p eta_p)^2 (per_photon_qfi).  Refuses as resource_photons does, and a
+    probe transmission p outside (0, 1), where the QFI diverges.
     """
-    if not 1 <= n <= FOCK_QFI_N_MAX:  # also nan; a huge n that StateSpec accepts would never return
-        raise ValueError(f"n must lie in [1, {FOCK_QFI_N_MAX}]: the binomial sum takes O(n^2) time")
-    p = channel.probe_transmission
-    if not 0.0 < p < 1.0:
-        raise ValueError("total probe transmission must lie in (0, 1)")
-    n_r = resource_photons(StateSpec(StateKind.FOCK, fock_n=n), channel)  # refuses a non-integral n
-    kk = np.arange(n + 1)
-    rho = binomial_pmf(n, p)
-    dp_dT = channel.T_p * channel.eta_p
-    drho = rho * (kk - n * p) / (p * (1.0 - p)) * dp_dT
-    mask = rho > 1e-300
-    qfi = float(np.sum(drho[mask] ** 2 / rho[mask]))
-    return _report(qfi, n_r, QFIMethod.FOCK_SUM)
+    n_r = resource_photons(StateSpec(StateKind.FOCK, fock_n=n), channel)  # refuses n = 0 and a non-integral n
+    return _report(per_photon_qfi(n, channel, channel.T), n_r, QFIMethod.CLOSED_FORM)

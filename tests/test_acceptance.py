@@ -104,17 +104,17 @@ def test_criterion_3_fock_oracle_equivalence():
                 )
                 want = fisher_max(n, T)
                 assert abs(got - want) / want <= 1e-5, (n, T)
-            # binomial photon-loss sum vs the closed-form Lambda, n <= 200
+            # the lossy Fock QFI (the per-photon bound) vs the closed-form Lambda, n <= 200
             for n in (1, 2, 5, 10, 20, 50, 100, 200):
                 for ch in (
                     ChannelConfig(T=T),
                     ChannelConfig(T=T, T_p=0.9, eta_p=0.98),
                 ):
-                    lam_sum = fock_qfi_lossy(n, ch).lam
+                    lam_bound = fock_qfi_lossy(n, ch).lam
                     lam_closed = lambda_lossy(
                         StateSpec(StateKind.FOCK, fock_n=n), ch
                     ).lam
-                    assert abs(lam_sum - lam_closed) / lam_closed <= 1e-10, (n, T)
+                    assert abs(lam_bound - lam_closed) / lam_closed <= 1e-10, (n, T)
 
 
 def test_criterion_4_lossy_symplectic_eigenvalues():

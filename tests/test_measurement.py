@@ -257,6 +257,33 @@ class TestMonteCarlo:
         )
         assert opt.empirical_var_T < raw.empirical_var_T
 
+    # closed_form_var_T of a lossless bTMSS at the optimal gain, T = 0.5, theta = 3.14159, keyed by (|alpha|, s):
+    # diff_variance / slope^2 in 80-digit arithmetic from photon_moments' formulas at the same double inputs
+    CANCELLING_BTMSS = {
+        (1e2, 1): 1.3289281203658414e-5,
+        (1e2, 3): 2.4784909406537336e-7,
+        (1e2, 5): 4.5395390748107764e-9,
+        (1e2, 8): 1.1252392233082341e-11,
+        (1e5, 1): 1.3290111440873701e-11,
+        (1e5, 3): 2.4787369465341589e-13,
+        (1e5, 5): 4.5399929664369247e-15,
+        (1e5, 8): 1.1253517470800418e-17,
+    }
+
+    @pytest.mark.parametrize("mag, s", sorted(CANCELLING_BTMSS))
+    def test_closed_form_variance_holds_its_digits_where_accepted(self, mag, s):
+        spec = StateSpec(StateKind.BTMSS, alpha=ComplexAmplitude(mag), squeeze=SqueezeSpec(s=s, theta=3.14159))
+        res = mc_estimate(spec, ChannelConfig(T=0.5), MeasurementPlan(), MCConfig(trials=100, seed=0))
+        assert res.closed_form_var_T == pytest.approx(self.CANCELLING_BTMSS[mag, s], rel=1e-8, abs=0)
+
+    @pytest.mark.parametrize("mag", [1e2, 1e5])
+    @pytest.mark.parametrize("s", [10, 12, 14, 16, 17, 18, 19, 20])
+    def test_refuses_a_closed_form_variance_that_cancels(self, mag, s):
+        # exact relative errors 3.5e-8 and 6.4e-8 at s = 10, 0.11 and 0.068 at s = 17; from s = 19 var < 0
+        spec = StateSpec(StateKind.BTMSS, alpha=ComplexAmplitude(mag), squeeze=SqueezeSpec(s=s, theta=3.14159))
+        with pytest.raises(ValueError, match="cancels"):
+            mc_estimate(spec, ChannelConfig(T=0.5), MeasurementPlan(), MCConfig(trials=100, seed=0))
+
     def test_gain_needs_an_auxiliary_mode(self):
         spec = StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(200.0))
         with pytest.raises(ValueError, match="bTMSS"):

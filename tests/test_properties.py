@@ -1,5 +1,5 @@
-"""Property-based tests of the closed forms, the general Gaussian QFI and the
-symplectic spectrum over random valid probes and channels.
+"""Property-based tests of the closed forms, the general Gaussian QFI, the
+symplectic spectrum and the Fock oracle over random valid probes and channels.
 
 Hypothesis runs derandomized and without an example database, so the
 suite draws the same examples on every run and keeps no failures from
@@ -10,9 +10,11 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
+from qcrb_lab import fock
 from qcrb_lab.gaussian import (
     ChannelConfig,
     ComplexAmplitude,
@@ -229,3 +231,61 @@ def test_an_array_of_T_equals_a_loop_of_scalar_calls(family, Ts, bright_limit):
             assert np.array_equal(getattr(got, field), loop)
         else:
             assert np.allclose(getattr(got, field), loop, rtol=1e-13, atol=0.0)
+
+
+# Oracle agreement with qfi_gaussian.  This draw (52 coherent, 68 bSMSS and 30 bTMSS points) reads at most
+# 3.0e-15, 9.9e-11 and 1.2e-10; 600 more seeded random points over the same ranges read at most 2.2e-15, 2.7e-11 and
+# 9.9e-11.  The squeezed kinds' worst points have the least probe transmission, where fock.PAIR_TOL drops live
+# pairs: 1.2e-10 at p = 0.009, against 3e-13 with a cut at 1e-16.  At n_max 30 a bSMSS reads up to 6.1e-9,
+# its tail mass near TAIL_TOL.
+ORACLE_N_MAX = {StateKind.COHERENT: 30, StateKind.BSMSS: 50, StateKind.BTMSS: 14}
+ORACLE_TOL = {StateKind.COHERENT: 1e-14, StateKind.BSMSS: 5e-10, StateKind.BTMSS: 5e-10}
+# about 30 ms an oracle call; no shrinking, so that a failure (the negative control's) stops at once
+ORACLE_PROPERTY = settings(PROPERTY, max_examples=150, phases=(Phase.explicit, Phase.generate))
+
+
+@st.composite
+def small_complex_probes(draw):
+    """Probes of a few photons with random phases of alpha, beta and theta: their density matrices are complex."""
+    kind = draw(st.sampled_from((StateKind.COHERENT, StateKind.BSMSS, StateKind.BTMSS)))
+    alpha = ComplexAmplitude(draw(st.floats(0.1, 1.0)), draw(phases))
+    if kind is StateKind.COHERENT:
+        return StateSpec(kind, alpha=ComplexAmplitude(2.0 * alpha.magnitude, alpha.phase))
+    if kind is StateKind.BSMSS:
+        return StateSpec(kind, alpha=alpha, squeeze=SqueezeSpec(s=draw(st.floats(0.0, 0.5)), theta=draw(phases)))
+    beta = ComplexAmplitude(draw(st.floats(0.0, 0.5)), draw(phases))
+    return StateSpec(kind, alpha=alpha, beta=beta, squeeze=SqueezeSpec(s=draw(st.floats(0.0, 0.3)), theta=draw(phases)))
+
+
+@ORACLE_PROPERTY
+@given(
+    small_complex_probes(),
+    st.builds(ChannelConfig, T=st.floats(0.05, 0.95), T_p=st.floats(0.3, 1.0), eta_p=st.floats(0.3, 1.0), eta_a=aux_losses),
+)
+def test_the_oracle_equals_the_gaussian_qfi_on_complex_states(spec, channel):
+    n_max = ORACLE_N_MAX[spec.kind]
+    try:
+        got = fock.oracle_qfi(lambda t: fock.channel_density(spec, channel, n_max=n_max, T=t), channel.T)
+    except fock.TruncationError:
+        assume(False)
+    want = qfi_gaussian(ParamFamily(spec, channel), channel.T).qfi
+    assert abs(got - want) <= ORACLE_TOL[spec.kind] * want
+
+
+def _diagonal_pairs(rho, T):
+    """The k = l terms of oracle_qfi's SLD sum, M_kk^2 / p_k: the Fisher information of rho's eigenvalues."""
+    p, U = np.linalg.eigh(rho.matrix)
+    m = np.real(np.einsum("ik,ij,jk->k", U.conj(), -fock.loss_generator(rho).matrix / T, U))
+    kept = 2.0 * p > fock.PAIR_TOL
+    return float(np.sum(m[kept] ** 2 / p[kept]))
+
+
+def test_dropping_the_diagonal_pairs_fails_the_oracle_property(monkeypatch):
+    oracle_qfi = fock.oracle_qfi
+
+    def perturbed(rho_of_T, T):
+        return oracle_qfi(rho_of_T, T) - _diagonal_pairs(rho_of_T(T), T)
+
+    monkeypatch.setattr(fock, "oracle_qfi", perturbed)
+    with pytest.raises(AssertionError):
+        test_the_oracle_equals_the_gaussian_qfi_on_complex_states()

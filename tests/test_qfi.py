@@ -1,4 +1,4 @@
-"""Tests for QFI formulas: closed forms, general Gaussian route, Fock sums."""
+"""Tests for QFI formulas: closed forms, general Gaussian route, the lossy Fock QFI."""
 
 import math
 import re
@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from qcrb_lab import qfi
+from qcrb_lab import fock, qfi
 from qcrb_lab.gaussian import (
     ChannelConfig,
     ComplexAmplitude,
@@ -19,7 +19,6 @@ from qcrb_lab.gaussian import (
     symplectic_eigenvalues,
 )
 from qcrb_lab.qfi import (
-    FOCK_QFI_N_MAX,
     SIGMA_MAX,
     ParamFamily,
     QFIMethod,
@@ -454,7 +453,25 @@ class TestSymplecticClosedForm:
         assert np.max(np.abs(symplectic_eigenvalues(seeded) - closed)) < 1e-10
 
 
+def binomial_sum_qfi(n, channel):
+    """Independent reference for fock_qfi_lossy: sum_k (d rho_k / dT)^2 / rho_k, O(n^2).
+
+    The lossy n-photon Fock state is diagonal, rho_k = C(n,k) p^k (1-p)^(n-k) with p = T_p T eta_p.
+    """
+    p = channel.probe_transmission
+    rho = fock.binomial_table(n, p)[n]
+    drho = rho * (np.arange(n + 1) - n * p) / (p * (1.0 - p)) * (channel.T_p * channel.eta_p)
+    live = rho > 1e-300
+    return float(np.sum(drho[live] ** 2 / rho[live]))
+
+
 class TestFockQFI:
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 100, 1000])
+    def test_equals_the_binomial_sum(self, n):
+        for T in (0.01, 0.3, 0.5, 0.9, 0.999):
+            for ch in (ChannelConfig(T=T), ChannelConfig(T=T, T_p=0.9, eta_p=0.95)):
+                assert fock_qfi_lossy(n, ch).qfi == pytest.approx(binomial_sum_qfi(n, ch), rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("n", [1, 3, 20, 200])
     def test_lossy_sum_matches_closed_lambda(self, n):
         for T in (0.2, 0.5, 0.8):
@@ -471,13 +488,14 @@ class TestFockQFI:
         with pytest.raises(ValueError):
             fock_qfi_lossy(0, ChannelConfig(T=0.5))
 
-    def test_n_above_the_cap_refused_before_the_binomial_sum(self):
-        # the sum takes O(n^2) time: a huge n that StateSpec accepts would never return
+    def test_huge_n_answers_as_lambda_lossy(self):
+        # a closed form answers any n that StateSpec accepts
         ch = ChannelConfig(T=0.5, T_p=0.9)
-        want = lambda_lossy(StateSpec(StateKind.FOCK, fock_n=FOCK_QFI_N_MAX), ch)
-        assert fock_qfi_lossy(FOCK_QFI_N_MAX, ch).lam == pytest.approx(want.lam, rel=1e-9)
-        with pytest.raises(ValueError, match="binomial sum"):
-            fock_qfi_lossy(FOCK_QFI_N_MAX + 1, ch)
+        for n in (10**6, 10**20):
+            rep = fock_qfi_lossy(n, ch)
+            want = lambda_lossy(StateSpec(StateKind.FOCK, fock_n=n), ch)
+            assert rep.qfi == pytest.approx(want.qfi, rel=1e-12, abs=0)
+            assert rep.method is QFIMethod.CLOSED_FORM
 
     def test_non_integral_n_refused_before_the_binomial_sum(self):
         with pytest.raises(ValueError, match="fock_n"):

@@ -9,9 +9,9 @@
 # probe, report for the four probes and the doubly seeded warning case, mc with
 # both samplers and --gain, at up to 2 and at 7-123 RNG blocks, an Exact vacuum
 # bTMSS over 1001^2 outcomes and one through both losses of its real expansion,
-# refused inputs,
+# refused inputs (a bTMSS whose closed-form variance cancels among them),
 # validate, each battery check's max_err as float.hex() from run_battery(),
-# and every demos/*.py),
+# the lossy Fock QFI as float.hex() for three photon numbers, and every demos/*.py),
 # then compares stdout, stderr and exit code of each pair.  Prints one line per
 # command and exits 1 on any difference, 0 when all are identical.  Writes only
 # under a temporary directory: each command runs there, without bytecode.
@@ -67,6 +67,7 @@ COMMANDS=(
     "mc --state bsmss --alpha 355 --T 0.5 --sampler exact"
     "mc --state coherent --alpha 1e8 --T 0.5 --trials 1000 --sampler exact"
     "mc --state coherent --alpha 100 --T 0.5 --gain 1"
+    "mc --state btmss --alpha 1e5 --s 20 --theta 3.14159 --T 0.5"
     "sweep --state coherent --alpha 10 --grid T=0.9:0.1:5"
     "validate"
 )
@@ -107,6 +108,8 @@ done
 # validate prints 4 significant digits; this compares every max_err bit for bit
 compare "run_battery() max_err as float.hex()" -c \
     "from qcrb_lab.validate import run_battery; print(*(r.name + ' ' + float(r.max_err).hex() for r in run_battery()), sep='\n')"
+compare "fock_qfi_lossy(n, ch).qfi as float.hex()" -c \
+    "from qcrb_lab import ChannelConfig; from qcrb_lab.qfi import fock_qfi_lossy; ch = ChannelConfig(T=0.35, T_p=0.9, eta_p=0.95); print(*(float(fock_qfi_lossy(n, ch).qfi).hex() for n in (1, 6, 100)))"
 for demo in "$change"/demos/*.py; do
     # each checkout runs its own copy; one missing from the parent differs on stderr
     compare "demos/$(basename "$demo")" "@DIR@/demos/$(basename "$demo")"

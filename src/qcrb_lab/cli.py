@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .gaussian import ChannelConfig, ComplexAmplitude, SqueezeSpec, StateKind, StateSpec
+from .gaussian import FIELDS_READ, ChannelConfig, ComplexAmplitude, SqueezeSpec, StateKind, StateSpec
 from .measurement import MCConfig, MeasurementPlan, Sampler, mc_estimate, strategy_for, transmission_var
 from .qfi import lambda_curve, lambda_lossy, resource_photons
 from .validate import run_battery
@@ -127,12 +127,10 @@ def parse_grid(text):
     return grid
 
 
-# The probe parameters each state reads; build_spec refuses the others.
+# The probe parameters each state reads: its FIELDS_READ, a squeeze as s and theta. build_spec refuses the others.
 PROBE_KEYS = {
-    StateKind.COHERENT: ("alpha",),
-    StateKind.BSMSS: ("alpha", "s", "theta"),
-    StateKind.BTMSS: ("alpha", "beta", "s", "theta"),
-    StateKind.FOCK: ("fock_n",),
+    kind: tuple(key for name in read for key in (("s", "theta") if name == "squeeze" else (name,)))
+    for kind, read in FIELDS_READ.items()
 }
 
 
@@ -230,11 +228,7 @@ FIG2_S_VALUES = [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
 def _fig_spec(kind, s):
-    if kind is StateKind.FOCK:
-        return StateSpec(kind=kind, fock_n=1)
-    if kind is StateKind.COHERENT:
-        return StateSpec(kind=kind, alpha=ComplexAmplitude(1e3))
-    return StateSpec(kind=kind, alpha=ComplexAmplitude(1e3), squeeze=SqueezeSpec(s=s))
+    return StateSpec(kind=kind, alpha=ComplexAmplitude(1e3), squeeze=SqueezeSpec(s=s), fock_n=1)
 
 
 def figure2_rows(grid):

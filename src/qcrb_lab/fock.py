@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gaussian import Moments, SqueezeSpec, StateKind
+from .gaussian import Moments, StateKind
 
 TAIL_TOL = 1e-10
 # oracle_qfi drops the pairs of eigenvalues with p_k + p_l <= PAIR_TOL.  A dense eigh leaves an empty state's
@@ -108,10 +108,10 @@ def build_fock_state(spec, n_max):
         return c
     # a state too wide for n_max may overflow its expansion to inf and nan; _check_tail refuses it
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = SqueezeSpec() if spec.kind is StateKind.COHERENT else spec.squeeze  # coherent: the s = 0 bSMSS
+        sq = spec.squeeze
         if spec.kind is StateKind.BTMSS:
             c = _btmss_coeffs(spec.alpha.value, spec.beta.value, sq.s, sq.theta, n_max)
-        else:
+        else:  # a coherent spec's squeeze is s = 0: the coherent state
             c = _smss_coeffs(spec.alpha.value, sq.s, sq.theta, n_max)
         norm = np.linalg.norm(c)  # an overflowed norm left all zeros, which pass _check_tail: 0/0 makes them nan
         if abs(norm - 1.0) > 1e-6:

@@ -13,7 +13,7 @@ identity.
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -27,6 +27,15 @@ class StateKind(Enum):
     BSMSS = "bsmss"
     BTMSS = "btmss"
     FOCK = "fock"
+
+
+# The StateSpec fields each kind reads; StateSpec.__post_init__ resets the others to their defaults (_UNREAD).
+FIELDS_READ = {
+    StateKind.COHERENT: ("alpha",),
+    StateKind.BSMSS: ("alpha", "squeeze"),
+    StateKind.BTMSS: ("alpha", "beta", "squeeze"),
+    StateKind.FOCK: ("fock_n",),
+}
 
 
 def _reduce_phase(phi):
@@ -81,7 +90,8 @@ class SqueezeSpec:
 class StateSpec:
     """Declarative description of a probe-state family.
 
-    Fock states ignore alpha/beta/squeeze; single-mode kinds ignore beta.
+    Each kind reads the fields FIELDS_READ lists; __post_init__ resets the others to their
+    defaults, so a spec equals the one built from those fields alone (a coherent spec: s = 0).
     """
 
     kind: StateKind
@@ -91,10 +101,16 @@ class StateSpec:
     fock_n: int = 0
 
     def __post_init__(self):
-        # photon counts are doubles downstream; a larger int overflows the conversion
+        for name, default in _UNREAD[self.kind]:
+            object.__setattr__(self, name, default)
+        # photon counts are doubles downstream; a larger int overflows the conversion (the other kinds' fock_n is 0)
         n = self.fock_n
-        if self.kind is StateKind.FOCK and not (isinstance(n, (int, np.integer)) and 0 <= n <= sys.float_info.max):
+        if not (isinstance(n, (int, np.integer)) and 0 <= n <= sys.float_info.max):
             raise ValueError("fock_n must be a nonnegative integer no larger than the largest double")
+
+
+_UNREAD = {kind: tuple((f.name, f.default) for f in fields(StateSpec)[1:] if f.name not in read)  # [1:]: after kind
+           for kind, read in FIELDS_READ.items()}
 
 
 @dataclass(frozen=True)
@@ -206,9 +222,7 @@ def make_btmss(alpha, beta, squeeze):
 
 def make_source(spec):
     """Build the generated (pre-loss) Gaussian state for a StateSpec."""
-    if spec.kind is StateKind.COHERENT:  # the bSMSS at s = 0; a squeeze the spec carries is ignored
-        return make_bsmss(spec.alpha, SqueezeSpec())
-    if spec.kind is StateKind.BSMSS:
+    if spec.kind in (StateKind.COHERENT, StateKind.BSMSS):  # a coherent spec carries no squeeze: s = 0
         return make_bsmss(spec.alpha, spec.squeeze)
     if spec.kind is StateKind.BTMSS:
         return make_btmss(spec.alpha, spec.beta, spec.squeeze)

@@ -88,13 +88,6 @@ def thinned_stats(mean0, var0, t):
     return t * mean0, t * t * var0 + t * (1.0 - t) * mean0
 
 
-_FANO = {
-    StateKind.COHERENT: lambda spec: 1.0,
-    StateKind.BSMSS: lambda spec: math.exp(-2.0 * spec.squeeze.s),
-    StateKind.FOCK: lambda spec: 0.0,
-}
-
-
 def optimal_gain(moments0, channel):
     """Electronic gain minimizing the intensity-difference variance."""
     denom = channel.eta_a * moments0.var_a + (1.0 - channel.eta_a) * moments0.mean_a
@@ -123,10 +116,10 @@ def transmission_var(spec, channel):
 
     The measurement is strategy_for(spec).  Single-mode probes use the
     source Fano factor (bright-limit value for the bSMSS, which needs
-    amplitude squeezing); the bTMSS closed form takes the derivative of
-    the mean response at fixed gain.  A doubly seeded bTMSS away from
-    cos(Theta) = -1 does not saturate the bound; the value is still
-    returned with a warning.
+    amplitude squeezing at s > 0); the bTMSS closed form takes the
+    derivative of the mean response at fixed gain.  A doubly seeded
+    bTMSS away from cos(Theta) = -1 does not saturate the bound; the
+    value is still returned with a warning.
     """
     require_amplitude_squeezing(spec)
     n_r = resource_photons(spec, channel)
@@ -146,7 +139,8 @@ def transmission_var(spec, channel):
         return T / detected - (T * T * T_p / n_r) * h_factor(
             s, channel.eta_a
         ) * (1.0 - 1.0 / math.cosh(2.0 * s))
-    return T / detected - (T * T * T_p / n_r) * (1.0 - _FANO[spec.kind](spec))
+    fano = 0.0 if spec.kind is StateKind.FOCK else math.exp(-2.0 * spec.squeeze.s)  # 1 for the coherent s = 0
+    return T / detected - (T * T * T_p / n_r) * (1.0 - fano)
 
 
 def _blocks(seed, trials):

@@ -92,9 +92,10 @@ def require_amplitude_squeezing(spec):
     """Raise unless the closed forms cover the probe's phase.
 
     The bSMSS closed forms hold for amplitude squeezing, cos(Theta) = 1
-    (theta = 2 arg alpha); qfi_gaussian covers every phase.
+    (theta = 2 arg alpha), and at s = 0, where S(0, theta) is the identity
+    and the probe is the coherent state; qfi_gaussian covers every phase.
     """
-    if spec.kind is StateKind.BSMSS and math.cos(big_theta(spec)) < 1.0 - 1e-12:
+    if spec.kind is StateKind.BSMSS and spec.squeeze.s > 0 and math.cos(big_theta(spec)) < 1.0 - 1e-12:
         raise ValueError(
             "the bSMSS closed form needs amplitude squeezing, theta = 2 arg(alpha); "
             f"theta - 2 arg(alpha) is {big_theta(spec):.6g} here"
@@ -270,16 +271,12 @@ def lambda_curve(spec, channel, T):
         raise ValueError("T must lie in (0, 1)")
     require_amplitude_squeezing(spec)
     base = T / channel.eta_p
-    if spec.kind is StateKind.COHERENT:
-        return base
     if spec.kind is StateKind.BTMSS:
         s = spec.squeeze.s
         return base - T * T * channel.T_p * h_factor(s, channel.eta_a) * (
             1.0 - 1.0 / math.cosh(2.0 * s)
         )
-    if spec.kind is StateKind.BSMSS:
-        return base - T * T * channel.T_p * (1.0 - math.exp(-2.0 * spec.squeeze.s))
-    return base - T * T * channel.T_p  # Fock
+    return base - T * T * channel.T_p * (1.0 if spec.kind is StateKind.FOCK else 1.0 - math.exp(-2.0 * spec.squeeze.s))
 
 
 def lambda_lossy(spec, channel):

@@ -155,6 +155,16 @@ class TestReport:
         assert float(rows[0]["lambda"]) == pytest.approx(0.5)
         assert float(rows[0]["n_resource"]) == pytest.approx(1e4)
 
+    @pytest.mark.parametrize("command", [("report", "--T", "0.5"), ("sweep", "--grid", "T=0.05:0.95:19")])
+    def test_unsqueezed_bsmss_off_phase_prints_the_coherent_numbers(self, capsys, command):
+        # S(0, theta) is the identity: no theta is refused at s = 0, and only the state's name differs
+        name, *rest = command
+        probe = ("--alpha", "1000", "--Tp", "0.9", "--eta-p", "0.98", *rest)
+        coh = run_cli(capsys, name, "--state", "coherent", *probe)
+        smss = run_cli(capsys, name, "--state", "bsmss", "--s", "0", "--theta", "1", *probe)
+        assert coh[0] == 0
+        assert smss == (0, coh[1].replace("coherent", "bsmss"), "")
+
     def test_btmss_json(self, capsys):
         code, out, _ = run_cli(
             capsys,

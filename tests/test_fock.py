@@ -280,7 +280,7 @@ class TestOracleQFI:
         )
         assert got == pytest.approx(fisher_max(n, T), rel=1e-5)
 
-    def test_matches_binomial_sum_with_losses(self):
+    def test_matches_per_photon_bound_with_losses(self):
         ch = ChannelConfig(T=0.35, T_p=0.9, eta_p=0.95)
         spec = StateSpec(StateKind.FOCK, fock_n=4)
         got = fock.oracle_qfi(

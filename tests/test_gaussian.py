@@ -1,10 +1,13 @@
 """Tests for the complex-form Gaussian state machinery."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from qcrb_lab import fock
 from qcrb_lab.gaussian import (
+    FIELDS_READ,
     S_MAX,
     ChannelConfig,
     ComplexAmplitude,
@@ -21,7 +24,8 @@ from qcrb_lab.gaussian import (
     symplectic_eigenvalues,
     williamson,
 )
-from qcrb_lab.qfi import ParamFamily
+from qcrb_lab.measurement import transmission_var
+from qcrb_lab.qfi import ParamFamily, lambda_curve, qfi_gaussian
 
 SINH2_1 = 1.3810978455418157  # sinh(1)^2
 
@@ -101,6 +105,17 @@ class TestAmplitudes:
         with pytest.raises(ValueError, match="fock_n"):
             StateSpec(StateKind.FOCK, fock_n=n)
 
+    @pytest.mark.parametrize("kind", list(StateKind))
+    def test_spec_keeps_exactly_the_fields_its_kind_reads(self, kind):
+        every = dict(alpha=ComplexAmplitude(2.0, 0.3), beta=ComplexAmplitude(1.5, -0.4),
+                     squeeze=SqueezeSpec(s=0.7, theta=1.1), fock_n=4)
+        assert set(FIELDS_READ) == set(StateKind) and set(FIELDS_READ[kind]) <= set(every)
+        spec = StateSpec(kind, **every)
+        defaults = {f.name: f.default for f in fields(StateSpec)}
+        for name, value in every.items():
+            assert getattr(spec, name) == (value if name in FIELDS_READ[kind] else defaults[name]), name
+        assert spec == StateSpec(kind, **{name: every[name] for name in FIELDS_READ[kind]})
+
     def test_numpy_integer_fock_n_accepted(self):
         spec = StateSpec(StateKind.FOCK, fock_n=np.int64(3))
         assert fock.build_fock_state(spec, n_max=5)[3] == 1.0
@@ -136,9 +151,17 @@ class TestConstructors:
     @pytest.mark.parametrize("squeeze", [SqueezeSpec(s=1.3, theta=0.4), SqueezeSpec(s=0.0, theta=2.0)])
     def test_coherent_source_ignores_a_squeeze_it_carries(self, squeeze):
         a = ComplexAmplitude(1.7, -2.3)
-        st = make_source(StateSpec(StateKind.COHERENT, alpha=a, squeeze=squeeze))
+        spec, plain = StateSpec(StateKind.COHERENT, alpha=a, squeeze=squeeze), StateSpec(StateKind.COHERENT, alpha=a)
+        st = make_source(spec)
         assert np.array_equal(st.d, [a.value, np.conj(a.value)])
         assert np.array_equal(st.sigma, np.eye(2))
+        # every layer sees the plain coherent probe, bit for bit
+        assert np.array_equal(fock.build_fock_state(spec, 30), fock.build_fock_state(plain, 30))
+        ch, T = ChannelConfig(T=0.4, T_p=0.9, eta_p=0.95), np.linspace(0.05, 0.95, 19)
+        assert np.array_equal(lambda_curve(spec, ch, T), lambda_curve(plain, ch, T))
+        assert transmission_var(spec, ch) == transmission_var(plain, ch)
+        got, want = (qfi_gaussian(ParamFamily(x, ch), T) for x in (spec, plain))
+        assert np.array_equal(got.qfi, want.qfi) and got.n_resource == want.n_resource
 
     @pytest.mark.parametrize("theta", [0.0, 0.4, np.pi / 2, np.pi, -2.0])
     def test_bsmss_displacement_matches_the_generation_formula(self, theta):

@@ -30,7 +30,8 @@ from qcrb_lab.measurement import (
     thinned_stats,
     transmission_var,
 )
-from qcrb_lab.qfi import lambda_lossy
+from qcrb_lab.qfi import lambda_curve, lambda_lossy
+from qcrb_lab.validate import CHANNELS, S_GRID, T_GRID
 
 
 SINGLE_MODE_CHANNELS = (ChannelConfig(T=0.6, T_p=0.9, eta_p=0.97),)
@@ -95,6 +96,19 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="amplitude squeezing"):
             transmission_var(spec, ChannelConfig(T=0.5))
 
+    @pytest.mark.parametrize("phase", [0.0, 0.3, -1.1, 2.5])
+    @pytest.mark.parametrize("theta", [0.0, 1.0, -2.0, np.pi])
+    def test_unsqueezed_bsmss_is_the_coherent_probe_at_any_phase(self, theta, phase):
+        # S(0, theta) is the identity, so no phase is refused and every closed form is the coherent probe's
+        alpha = ComplexAmplitude(1e3, phase)
+        spec = StateSpec(StateKind.BSMSS, alpha=alpha, squeeze=SqueezeSpec(s=0.0, theta=theta))
+        coh = StateSpec(StateKind.COHERENT, alpha=alpha)
+        T = np.linspace(0.05, 0.95, 19)
+        for ch in (ChannelConfig(T=0.5), ChannelConfig(T=0.3, T_p=0.9, eta_p=0.98)):
+            assert np.array_equal(lambda_curve(spec, ch, T), lambda_curve(coh, ch, T))
+            assert lambda_lossy(spec, ch) == lambda_lossy(coh, ch)
+            assert transmission_var(spec, ch) == transmission_var(coh, ch)
+
     def test_doubly_seeded_off_phase_warns(self):
         spec = StateSpec(
             StateKind.BTMSS,
@@ -104,6 +118,53 @@ class TestClosedForms:
         )
         with pytest.warns(UserWarning):
             transmission_var(spec, ChannelConfig(T=0.5))
+
+
+def exact_statistics_gaps(gain_for):
+    """{probe: worst |exact - qcrb| / qcrb} over the battery's channels and T.
+
+    exact = diff_variance(m0, ch, g) / (T_p eta_p <n_p>)^2 is the error-propagated variance of the probe's
+    measurement from the source's exact photon moments m0, at the gain gain_for(spec, m0, ch).  The probes
+    are the battery's at alpha = 1e8: coherent, bTMSS at theta = pi and amplitude-squeezed bSMSS at each
+    s of S_GRID, and a 20-photon Fock state.
+    """
+    alpha = ComplexAmplitude(1e8)
+    probes = {"coherent": StateSpec(StateKind.COHERENT, alpha=alpha), "fock": StateSpec(StateKind.FOCK, fock_n=20)}
+    for s in S_GRID:
+        probes[f"btmss s={s:g}"] = StateSpec(StateKind.BTMSS, alpha=alpha, squeeze=SqueezeSpec(s=s, theta=np.pi))
+        probes[f"bsmss s={s:g}"] = StateSpec(StateKind.BSMSS, alpha=alpha, squeeze=SqueezeSpec(s=s))
+    worst = dict.fromkeys(probes, 0.0)
+    for losses in CHANNELS:
+        for T in T_GRID:
+            ch = ChannelConfig(T=T, **losses)
+            for name, spec in probes.items():
+                m0 = source_moments(spec)
+                slope = ch.T_p * ch.eta_p * m0.mean_p
+                exact = diff_variance(m0, ch, gain_for(spec, m0, ch)) / slope**2
+                want = lambda_lossy(spec, ch).qcrb
+                worst[name] = max(worst[name], abs(exact - want) / want)
+    return worst
+
+
+class TestSaturationFromExactStatistics:
+    """The paper's claim that intensity measurements reach the QCRB, from the probe's photon statistics.
+
+    Measured worst gaps: 2.9e-11 (bSMSS, s = 2), 1.3e-13 (bTMSS), 2.7e-16 (coherent), 1.1e-15 (Fock).
+    """
+
+    def test_measurements_reach_the_qcrb(self):
+        def gain(spec, m0, ch):
+            # optimal_gain refuses the bTMSS at s = 0, beta = 0: a coherent probe, whose best gain is 0
+            return optimal_gain(m0, ch) if spec.kind is StateKind.BTMSS and spec.squeeze.s > 0 else 0.0
+
+        worst = exact_statistics_gaps(gain)
+        assert max(worst.values()) <= 1e-10, worst
+
+    def test_btmss_without_gain_misses_the_qcrb(self):
+        # negative control: the probe's count alone, g = 0, carries the bTMSS's noise photons
+        worst = exact_statistics_gaps(lambda spec, m0, ch: 0.0)
+        missed = {name: gap for name, gap in worst.items() if gap > 1e-10}
+        assert sorted(missed) == [f"btmss s={s:g}" for s in S_GRID if s > 0], worst
 
 
 class TestGainOptimization:

@@ -473,7 +473,7 @@ class TestFockQFI:
                 assert fock_qfi_lossy(n, ch).qfi == pytest.approx(binomial_sum_qfi(n, ch), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n", [1, 3, 20, 200])
-    def test_lossy_sum_matches_closed_lambda(self, n):
+    def test_per_photon_bound_matches_closed_lambda(self, n):
         for T in (0.2, 0.5, 0.8):
             ch = ChannelConfig(T=T, T_p=0.9, eta_p=0.95)
             rep = fock_qfi_lossy(n, ch)
@@ -497,6 +497,6 @@ class TestFockQFI:
             assert rep.qfi == pytest.approx(want.qfi, rel=1e-12, abs=0)
             assert rep.method is QFIMethod.CLOSED_FORM
 
-    def test_non_integral_n_refused_before_the_binomial_sum(self):
+    def test_non_integral_n_refused_by_the_spec(self):
         with pytest.raises(ValueError, match="fock_n"):
             fock_qfi_lossy(2.5, ChannelConfig(T=0.5))

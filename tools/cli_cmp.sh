@@ -6,7 +6,8 @@
 #
 # Runs one fixed list of commands against each checkout's src/ (figure2 and
 # figure3 as CSV and JSON on the default and a 999-point grid, one sweep per
-# probe, report for the four probes and the doubly seeded warning case, mc with
+# probe, report for the four probes and the doubly seeded warning case, report
+# and sweep of an s = 0 bSMSS off theta = 2 arg(alpha) (the coherent probe), mc with
 # both samplers and --gain, at up to 2 and at 7-123 RNG blocks, an Exact vacuum
 # bTMSS over 1001^2 outcomes and one through both losses of its real expansion,
 # refused inputs (a bTMSS whose closed-form variance cancels among them),
@@ -47,6 +48,8 @@ COMMANDS=(
     "report --state btmss --alpha 1000 --s 2 --theta $PI --T 0.5 --eta-a 0.95"
     "report --state fock --fock-n 5 --T 0.3 --Tp 0.9"
     "report --state btmss --alpha 10 --beta 5 --s 1 --theta 0 --T 0.5"
+    "report --state bsmss --alpha 1000 --s 0 --theta 1 --T 0.5"
+    "sweep --state bsmss --alpha 1000 --s 0 --theta 2 --Tp 0.9 --eta-p 0.98 --grid T=0.05:0.95:19"
     "mc --state coherent --alpha 100 --T 0.5 --sampler exact --seed 3"
     "mc --state coherent --alpha 1000 --T 0.6 --eta-p 0.9 --trials 20000 --seed 4"
     "mc --state bsmss --alpha 5 --s 0.5 --T 0.5 --sampler exact --seed 5"

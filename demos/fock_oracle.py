@@ -1,8 +1,10 @@
 """Cross-check the Gaussian formulas against a brute-force Fock oracle.
 
 Expands each state in a truncated number basis, applies the exact loss
-channel, and computes the QFI by eigendecomposition.  Slow and limited to
-a few photons, which is exactly why it makes a trustworthy referee.
+channel to its Kraus factor W (rho = W W^+), and computes the QFI on the
+support of rho, found by a thin SVD of W or an eigendecomposition of rho.
+Slow and limited to a few photons, which is exactly why it makes a
+trustworthy referee.
 
 Run:  python3 demos/fock_oracle.py
 """
@@ -43,7 +45,7 @@ for name, spec, n_max, want in cases:
 
 # with losses the Fock density matrix is binomial-diagonal, rho_k = C(n,k) p^k (1-p)^(n-k)
 # with p = T_p T eta_p, so the QFI is the explicit sum of (d rho_k / dT)^2 / rho_k --
-# compare it against the eigendecomposition route
+# compare it against the oracle's SLD sum
 lossy = ChannelConfig(T=T, T_p=0.9, eta_p=0.95)
 n = 6
 got = fock.oracle_qfi(

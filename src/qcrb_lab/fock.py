@@ -3,18 +3,20 @@
 Ground truth used to validate the Gaussian machinery: exact state
 expansions (closed-form recursions, no operator exponentials), exact
 beamsplitter loss channels in the number basis, photon statistics by
-direct summation, and QFI via eigendecomposition of the density matrix.
+direct summation, and QFI on the support of the density matrix.
 An expansion with no imaginary part is kept real, so its density
-matrix, loss channel and eigendecomposition run in real arithmetic.
+matrix, loss channel and decomposition run in real arithmetic.
 
 A pure state is its array of coefficients c (build_fock_state).  Loss
 is binomial thinning, so photon-count statistics need only |c|^2 and
 one binomial table per loss (channel_probs); no density matrix is
-formed.  The QFI (oracle_qfi) builds the density matrix once,
-decomposes it on its support (the basis states that rho or d rho/dT
-reach, the same computation for every probe) and then takes its
-T-derivative exactly from the amplitude-damping generator
-(loss_generator).  Intended for mean photon numbers of order a few.
+formed.  A lossy state is its Kraus factor W, rho = W W^+ (FockDensity),
+with one column per pattern of lost photons (apply_loss_density).  The
+QFI (oracle_qfi) finds the support of rho from W, by a thin SVD when W
+has fewer columns than rows and by eigh of W W^+ otherwise, and applies
+the exact T-derivative, from the amplitude-damping generator, to the
+support's eigenvectors alone.  Intended for mean photon numbers of order
+a few.
 """
 
 from dataclasses import dataclass, replace
@@ -24,9 +26,10 @@ import numpy as np
 from .gaussian import Moments, StateKind
 
 TAIL_TOL = 1e-10
-# oracle_qfi drops the pairs of eigenvalues with p_k + p_l <= PAIR_TOL.  A dense eigh leaves an empty state's
-# eigenvalue within about 1.4e-16 of 0 (vacuum TMSS, n_max 28); at 1e-15 the dense and support-trimmed sums
-# part by 7.1e-13.  A cut of 1e-12 drops live pairs: 4.3e-10 against fisher_max on the same state.
+# oracle_qfi keeps the eigenvalues above PAIR_TOL / 2: a member of every pair with p_k + p_l > PAIR_TOL, the pairs
+# that a dense SLD sum cut at PAIR_TOL keeps.  A dense eigh leaves an empty state's eigenvalue within about 1.4e-16
+# of 0 (vacuum TMSS, n_max 28); at 1e-15 the dense and support-trimmed sums part by 7.1e-13.  A cut of 1e-12 drops
+# live pairs: 4.3e-10 against fisher_max on the same state.
 PAIR_TOL = 1e-14
 
 
@@ -36,11 +39,20 @@ class TruncationError(ValueError):
 
 @dataclass(frozen=True)
 class FockDensity:
-    """Density matrix over the truncated basis (row-major pair index for 2 modes)."""
+    """Density matrix held as its Kraus factor: rho = W W^+.
 
-    matrix: np.ndarray
+    W has one row per basis state (row-major pair index for 2 modes) and
+    one column per pattern of lost photons: one column for a pure state,
+    n_max + 1 after each loss.  matrix and tensor() form W W^+ when read.
+    """
+
+    factor: np.ndarray
     n_max: int
     modes: int
+
+    @property
+    def matrix(self):
+        return self.factor @ self.factor.conj().T
 
     def tensor(self):
         dim = self.n_max + 1
@@ -147,42 +159,29 @@ def binomial_table(n_max, t):
 
 
 def pure_density(c):
-    """Density matrix |psi><psi| of a pure state's coefficient array."""
-    v = c.reshape(-1)
-    return FockDensity(matrix=np.outer(v, v.conj()), n_max=len(c) - 1, modes=c.ndim)
+    """The state |psi><psi| of a coefficient array: its Kraus factor is the one column c."""
+    return FockDensity(factor=c.reshape(-1, 1), n_max=len(c) - 1, modes=c.ndim)
 
 
 def apply_loss_density(rho, mode, t):
     """Beamsplitter-with-vacuum channel on one mode of a density matrix.
 
     The Kraus sum K_k rho K_k^+ (K_k|n> = A[n, n-k]|n-k>, A the square
-    root of the binomial table) keeps the mode's diagonal offset d, and on
-    it is one matrix product: out[i, i+d] = sum_m B_d[i, m] rho[m, m+d]
-    with B_d[i, m] = A[m, i] A[m+d, i+d], and likewise for rho[m+d, m].
-    The mode's row and column axes are copied to the front, so that each
-    diagonal is a strided slice of whole rows, for either mode alike, and
-    each product is written back over the rows it read; a complex rho is
-    multiplied as its real and imaginary parts.  Peak memory is the
-    input, that copy, one pair of diagonals and, for two modes, the output
-    in the input's axis order.  At t = 1 the input is returned unchanged.
+    root of the binomial table) on rho = W W^+ is W' W'^+ with
+    W' = [K_0 W, ..., K_n_max W]: each column of W becomes n_max + 1
+    columns, one per number k of photons lost, and each K_k W scales and
+    shifts the rows along the mode's axis.  No density matrix is formed.
+    At t = 1 the input is returned unchanged.
     """
     if t == 1.0:
         return rho
     amp = np.sqrt(binomial_table(rho.n_max, t))
     dim = rho.n_max + 1
-    axes = (mode, mode + rho.modes)
-    work = np.moveaxis(rho.tensor(), axes, (0, 1)).copy()
-    # rows (i, j) of the mode pair, each holding the rest of rho: diagonal d runs from row d (upper) and d*dim (lower)
-    rows = work.reshape(dim * dim, -1).view(np.float64)
-    for d in range(dim):
-        n = dim - d
-        upper, lower = slice(d, None, dim + 1), slice(d * dim, None, dim + 1)
-        kernel = amp[:n, :n].T * amp[d:, d:].T
-        pair = np.stack((rows[upper][:n], rows[lower][:n]), axis=1)
-        pair = (kernel @ pair.reshape(n, -1)).reshape(pair.shape)
-        rows[upper][:n], rows[lower][:n] = pair[:, 0], pair[:, 1]
-    out = np.moveaxis(work, (0, 1), axes)
-    return replace(rho, matrix=out.reshape(rho.matrix.shape))
+    w = rho.factor.reshape(dim**mode, dim, -1)  # the modes before, this mode, the modes after with the columns
+    out = np.zeros(w.shape + (dim,), dtype=w.dtype)
+    for k in range(dim):
+        out[:, : dim - k, :, k] = np.diagonal(amp, -k)[:, None] * w[:, k:]
+    return replace(rho, factor=out.reshape(len(rho.factor), -1))
 
 
 def channel_density(spec, channel, n_max, T=None):
@@ -239,50 +238,10 @@ def count_moments(probs):
 
 
 def oracle_moments(rho):
-    """Photon moments from the diagonal of a density matrix."""
+    """Photon moments from the diagonal of a density matrix: the row sums of |W|^2."""
     dim = rho.n_max + 1
-    return count_moments(np.real(np.diag(rho.matrix)).reshape((dim,) * rho.modes))
-
-
-def loss_generator(rho):
-    """Amplitude-damping generator on the probe mode: a rho a^+ - {a^+ a, rho}/2.
-
-    Elementwise on the density tensor over the probe's row index i and
-    column index j, O(dim^2) with no operator matrices:
-    (a rho a^+)[i, j] = sqrt((i+1)(j+1)) rho[i+1, j+1] and
-    {a^+ a, rho}[i, j] = (i + j) rho[i, j].  Exact on the truncated basis,
-    since a only lowers the photon number.  The loss channel is
-    E_t = exp(-ln(t) L), so dE_t(rho)/dt = -L(E_t(rho)) / t.
-    """
-    dim = rho.n_max + 1
-    t = rho.tensor()
-    n = np.arange(dim, dtype=float)
-    n_row = n.reshape((dim,) + (1,) * (t.ndim - 1))  # probe row: axis 0
-    n_col = n.reshape((dim,) + (1,) * (rho.modes - 1))  # probe column: axis `modes`
-    out = -0.5 * (n_row + n_col) * t
-    lower = [slice(None)] * t.ndim
-    upper = list(lower)
-    lower[0] = lower[rho.modes] = slice(None, -1)
-    upper[0] = upper[rho.modes] = slice(1, None)
-    out[tuple(lower)] += np.sqrt(n_row * n_col)[tuple(upper)] * t[tuple(upper)]
-    return replace(rho, matrix=out.reshape(rho.matrix.shape))
-
-
-def _live_states(rho):
-    """Basis states where rho or d rho / dT = -L(rho) / T has a nonzero column.
-
-    Column (j, B) of L(rho) (probe index j, the rest B) reads only columns
-    (j, B) and (j+1, B) of rho (loss_generator).  A nonzero column of a
-    density matrix has a positive diagonal entry, and rho[(j+1, B), (j+1, B)]
-    alone gives L(rho)[(j, B), (j, B)] when column (j, B) of rho is zero; so
-    the live states are rho's nonzero columns and their neighbours one probe
-    photon down, and d rho / dT need not be formed to find them.
-    """
-    dim = rho.n_max + 1
-    cols = rho.matrix.any(axis=0).reshape((dim,) * rho.modes)
-    live = cols.copy()
-    live[:-1] |= cols[1:]
-    return np.flatnonzero(live)
+    w = rho.factor
+    return count_moments((w * w.conj()).real.sum(axis=1).reshape((dim,) * rho.modes))
 
 
 def oracle_qfi(rho_of_T, T):
@@ -291,39 +250,67 @@ def oracle_qfi(rho_of_T, T):
     rho_of_T maps a transmission to a FockDensity and is called once, at
     T.  T must scale the probe's (mode 0's) transmission multiplicatively,
     as channel_density's t_p = T_p * T * eta_p does; then
-    d rho / dT = -L(rho) / T (loss_generator) exactly, whatever the other
-    losses.  A basis state that neither rho nor d rho / dT reaches (a zero
-    column, so by Hermiticity a zero row) is an eigenvector with p = 0 and
-    a zero row of M, and adds no term (Liu, Yuan, Lu and Wang, J. Phys. A
-    53, 023001 (2020)); the rest, the live states (_live_states), are
-    decomposed.  With rho = sum_k p_k |u_k><u_k| there and
-    M = U^+ (d rho / dT) U, F = 2 sum |M_kl|^2 / (p_k + p_l) over the pairs
-    with p_k + p_l > PAIR_TOL.  A real rho is decomposed in real arithmetic.
-    rho is decomposed before d rho / dT is formed, so the decomposition
-    holds no second matrix of rho's size.
+    D = d rho / dT = -L(rho) / T exactly, whatever the other losses, with
+    L(rho) = a rho a^+ - (n rho + rho n) / 2 the amplitude-damping
+    generator on the probe mode (exact on the truncated basis, since a
+    only lowers the photon number; E_t = exp(-ln(t) L)).
 
-    Raises ValueError for T outside (0, 1], and when d rho / dT leaves the
-    support of rho: the largest dropped |M_kl| above 1e-6 times the
-    largest kept one (a lossless Fock state at T = 1, whose QFI diverges).
+    The support S is the eigenvalues p_k > PAIR_TOL / 2 of rho = W W^+
+    and their eigenvectors V, from a thin SVD of W when W has fewer
+    columns than rows (a pure state, a lossless auxiliary mode), else from
+    eigh of W W^+, formed once; W is released first, so eigh holds no
+    second matrix of rho's size.  D acts on the columns of V alone:
+    L(rho) V = a rho (a^+ V) - (n V diag(p) + rho n V) / 2, with rho X
+    taken as W (W^+ X) or the dense product, so no derivative matrix of
+    rho's size is formed.  With M = V^+ D V and R = (I - V V^+) D V, the part of D V
+    off the support,
+    F = sum_{k,l in S} 2 |M_kl|^2 / (p_k + p_l) + 4 sum_{k in S} |R_k|^2 / p_k
+    (Liu, Jing, Zhong and Wang, Commun. Theor. Phys. 61, 45 (2014)): every
+    pair with p_k + p_l > PAIR_TOL has a member in S.  A real rho is
+    decomposed in real arithmetic.
+
+    Raises ValueError for T outside (0, 1], and when D has a block off the
+    support, where the sum above does not hold: that block is -B B^+ with
+    B = (I - V V^+) a V sqrt(p / T), refused when |B|_2^2 exceeds 1e-6
+    times the largest kept coupling, max(|M_kl|, |R_k|) (a lossless Fock
+    state at T = 1, whose QFI diverges).
     """
     if not 0.0 < T <= 1.0:  # also nan
         raise ValueError(f"transmission T = {T:g} outside (0, 1]")
     rho = rho_of_T(T)
-    live = _live_states(rho)
-    # every state live: index with ..., a view of the whole matrix, so that nothing is copied
-    ix = np.ix_(live, live) if len(live) < len(rho.matrix) else ...
-    p, U = np.linalg.eigh(rho.matrix[ix])
-    drho = loss_generator(rho).matrix
+    dim, w = rho.n_max + 1, rho.factor
     del rho
-    drho *= -1.0 / T
-    M = np.abs(U.conj().T @ drho[ix] @ U)  # |M_kl|; conj() of a real U is U itself
-    denom = p[:, None] + p[None, :]
-    kept = denom > PAIR_TOL
-    dropped = M[~kept].max(initial=0.0)
-    # valid oracle points read <= 3.9e-13; a lossless Fock state at T = 1 reads exactly 1
-    if dropped > 1e-6 * M[kept].max(initial=0.0):
+    if w.shape[1] < w.shape[0]:
+        V, sv, _ = np.linalg.svd(w, full_matrices=False)
+        p, rho_ops = sv * sv, [w, w.conj().T]
+    else:
+        # rho before W's conjugate copy: the copy is then freed at the heap's top, and eigh's output
+        # takes W's block, which keeps the process's peak one matrix lower
+        dense = np.empty((len(w), len(w)), dtype=w.dtype)
+        np.matmul(w, w.conj().T, out=dense)
+        del w
+        p, V = np.linalg.eigh(dense)
+        rho_ops = [dense]
+    support = p > 0.5 * PAIR_TOL
+    p, V = p[support], V[:, support]
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)  # the probe's lowering and number operators
+    n = np.diag(np.arange(dim, dtype=float))
+
+    def on_probe(op, x):  # op on the probe mode of each column of x
+        return (op @ x.reshape(dim, -1)).reshape(x.shape)
+
+    k = V.shape[1]
+    rho_x = np.linalg.multi_dot(rho_ops + [np.hstack((on_probe(a.T, V), on_probe(n, V)))])
+    dv = (on_probe(a, rho_x[:, :k]) - 0.5 * (on_probe(n, V * p) + rho_x[:, k:])) * (-1.0 / T)
+    M = V.conj().T @ dv
+    off_sq = np.sum(np.abs(dv - V @ M) ** 2, axis=0)  # |R_k|^2
+    av = on_probe(a, V)
+    dropped = np.linalg.norm((av - V @ (V.conj().T @ av)) * np.sqrt(p / T), 2) ** 2
+    # valid oracle points read <= 5e-13; a lossless Fock state at T = 1 reads exactly 1
+    if dropped > 1e-6 * max(np.abs(M).max(), np.sqrt(off_sq.max())):
         raise ValueError(
             f"d rho/dT leaves the support of rho at T = {T:g} (dropped block "
             f"{dropped:.3e}): the QFI diverges or n_max is too small"
         )
-    return float(2.0 * np.sum(M[kept] ** 2 / denom[kept]))
+    pairs = 2.0 * np.sum(np.abs(M) ** 2 / (p[:, None] + p[None, :]))
+    return float(pairs + 4.0 * np.sum(off_sq / p))

@@ -134,12 +134,13 @@ def check_measurement_saturation():
 def check_fock_oracle_qfi():
     """Fock-oracle QFI vs closed forms at small photon number.
 
-    fock.oracle_qfi: one density matrix per point, its exact T-derivative
-    from the loss generator and one eigendecomposition on the basis states
-    they reach, in real arithmetic at every point here (Fock, real-alpha
-    coherent and theta = 0 vacuum TMSS).  The lossless auxiliary mode of
-    the vacuum TMSS leaves every state with more probe than auxiliary
-    photons empty: 435 of the 841 at n_max = 28 are decomposed.
+    fock.oracle_qfi: one Kraus factor W per point (rho = W W^+), the
+    support of rho from it and the exact T-derivative on the support's
+    eigenvectors alone, in real arithmetic at every point here (Fock,
+    real-alpha coherent and theta = 0 vacuum TMSS).  The lossless
+    auxiliary mode of the vacuum TMSS leaves W thin, 841 rows by 29
+    columns at n_max = 28, so a thin SVD finds its support; the
+    single-mode points' square factors take eigh of rho.
     """
     cases = [  # (spec, n_max, closed-form QFI at T)
         (StateSpec(StateKind.FOCK, fock_n=1), 3, partial(fisher_max, 1)),

@@ -27,6 +27,7 @@ from qcrb_lab.gaussian import (
 )
 from qcrb_lab.measurement import transmission_var
 from qcrb_lab.qfi import ParamFamily, fisher_max, h_factor, lambda_lossy, qfi_btmss_full, qfi_gaussian
+from test_fock import dense_oracle_qfi, loss_generator
 
 PROPERTY = settings(database=None, derandomize=True, max_examples=300, deadline=None)
 
@@ -275,7 +276,7 @@ def test_the_oracle_equals_the_gaussian_qfi_on_complex_states(spec, channel):
 def _diagonal_pairs(rho, T):
     """The k = l terms of oracle_qfi's SLD sum, M_kk^2 / p_k: the Fisher information of rho's eigenvalues."""
     p, U = np.linalg.eigh(rho.matrix)
-    m = np.real(np.einsum("ik,ij,jk->k", U.conj(), -fock.loss_generator(rho).matrix / T, U))
+    m = np.real(np.einsum("ik,ij,jk->k", U.conj(), -loss_generator(rho) / T, U))
     kept = 2.0 * p > fock.PAIR_TOL
     return float(np.sum(m[kept] ** 2 / p[kept]))
 
@@ -289,3 +290,45 @@ def test_dropping_the_diagonal_pairs_fails_the_oracle_property(monkeypatch):
     monkeypatch.setattr(fock, "oracle_qfi", perturbed)
     with pytest.raises(AssertionError):
         test_the_oracle_equals_the_gaussian_qfi_on_complex_states()
+
+
+# The factor route against the dense reference where rho has a kernel: a lossless auxiliary mode gives a bTMSS
+# a thin factor (the SVD side), and a lossy single-mode probe a square one (the eigh side).  This draw (64
+# coherent, 32 bSMSS and 54 bTMSS points) reads at most 2.1e-15, 2.4e-13 and 9.4e-14; 900 more random points
+# over the same ranges read at most 2.2e-15, 3.4e-13 and 8.8e-13.
+FACTOR_TOL = 2e-12
+
+
+@ORACLE_PROPERTY
+@given(
+    small_complex_probes(),
+    st.builds(ChannelConfig, T=st.floats(0.05, 0.95), T_p=st.floats(0.3, 1.0), eta_p=st.floats(0.3, 1.0)),
+)
+def test_the_factor_route_equals_the_dense_sum(spec, channel):
+    n_max = ORACLE_N_MAX[spec.kind]
+    try:
+        rho = fock.channel_density(spec, channel, n_max=n_max)
+    except fock.TruncationError:
+        assume(False)
+    got = fock.oracle_qfi(lambda t: fock.channel_density(spec, channel, n_max=n_max, T=t), channel.T)
+    want = dense_oracle_qfi(rho, channel.T)
+    assert abs(got - want) <= FACTOR_TOL * want
+
+
+def _kernel_pairs(rho, T):
+    """The pairs of the dense SLD sum with one eigenvalue at most PAIR_TOL / 2: oracle_qfi's projector term."""
+    p, U = np.linalg.eigh(rho.matrix)
+    M = U.conj().T @ (-loss_generator(rho) / T) @ U
+    support = p > 0.5 * fock.PAIR_TOL
+    return float(4.0 * np.sum(np.abs(M[~support][:, support]) ** 2 / p[support]))
+
+
+def test_dropping_the_projector_term_fails_the_factor_property(monkeypatch):
+    oracle_qfi = fock.oracle_qfi
+
+    def perturbed(rho_of_T, T):
+        return oracle_qfi(rho_of_T, T) - _kernel_pairs(rho_of_T(T), T)
+
+    monkeypatch.setattr(fock, "oracle_qfi", perturbed)
+    with pytest.raises(AssertionError):
+        test_the_factor_route_equals_the_dense_sum()

@@ -1,7 +1,8 @@
 """Cross-check the Gaussian formulas against a brute-force Fock oracle.
 
 Expands each state in a truncated number basis, applies the exact loss
-channel to its Kraus factor W (rho = W W^+), and computes the QFI on the
+channel to its Kraus factor W (rho = W W^+), drops the columns of W that
+carry neither weight nor T-derivative, and computes the QFI on the
 support of rho, found by a thin SVD of W or an eigendecomposition of rho.
 Slow and limited to a few photons, which is exactly why it makes a
 trustworthy referee.

@@ -84,6 +84,13 @@ def dense_oracle_qfi(rho, T):
     return float(2.0 * np.sum(M[kept] ** 2 / denom[kept]))
 
 
+def uncut_density(spec, channel, n_max, T=None):
+    """channel_density's loss chain with every Kraus column kept: (n_max + 1)^2 columns when both modes lose."""
+    c = fock.build_fock_state(spec, n_max=n_max)
+    rho = fock.apply_loss_density(fock.pure_density(c), 0, channel.probe_transmission_at(channel.T if T is None else T))
+    return fock.apply_loss_density(rho, 1, channel.eta_a) if c.ndim == 2 else rho
+
+
 def kraus_loss(rho, mode, t):
     """Reference loss channel: sum_k K_k rho K_k^+ with full operator matrices on the two-mode basis."""
     dim = rho.n_max + 1
@@ -419,7 +426,7 @@ class TestOracleQFI:
     )
     def test_refuses_a_derivative_outside_the_support(self, spec, channel, n_max, square, monkeypatch):
         # a lossless probe at T = 1 that L moves off its support: the true QFI diverges (|4> goes to |3>,
-        # where the finite sum would read n^2 = 16).  Each factor here is thin, one column per auxiliary
+        # where the finite sum would read n^2 = 16).  Each factor here is thin, at most one column per auxiliary
         # photon lost, and takes the SVD; padded with zero columns to a square, the same rho takes eigh
         def rho_of_T(t):
             rho = fock.channel_density(spec, channel, n_max=n_max, T=t)
@@ -434,9 +441,13 @@ class TestOracleQFI:
         assert len(calls) == square
 
     def test_holds_no_second_matrix_through_the_decomposition(self, monkeypatch):
-        # a lossy auxiliary mode makes W square, rho's size: W held through eigh would add a whole matrix to the peak
+        # uncut, a lossy auxiliary mode makes W square, rho's size: W held through eigh would add a whole matrix
+        # to the peak
         ch = ChannelConfig(T=0.45, T_p=0.9, eta_p=0.95, eta_a=0.8)
-        rho_bytes = fock.channel_density(seeded_btmss(), ch, n_max=20).matrix.nbytes
+        factor = uncut_density(seeded_btmss(), ch, n_max=20).factor
+        assert factor.shape == (21**2, 21**2)
+        rho_bytes = factor.nbytes
+        del factor
         eigh, held = np.linalg.eigh, []
 
         def traced_eigh(a):
@@ -446,18 +457,19 @@ class TestOracleQFI:
         monkeypatch.setattr(np.linalg, "eigh", traced_eigh)
         tracemalloc.start()
         try:
-            fock.oracle_qfi(lambda t: fock.channel_density(seeded_btmss(), ch, n_max=20, T=t), ch.T)
+            fock.oracle_qfi(lambda t: uncut_density(seeded_btmss(), ch, n_max=20, T=t), ch.T)
         finally:
             tracemalloc.stop()
         assert len(held) == 1 and held[0] < 1.5 * rho_bytes
 
     @pytest.mark.parametrize("T", [0.2, 0.5, 0.8])
     def test_factor_route_equals_the_dense_sum(self, T):
-        # lossless auxiliary: one Kraus column per probe photon lost, so W is thin and takes the SVD
+        # lossless auxiliary: one Kraus column per probe photon lost, so W is thin and takes the SVD; the higher
+        # T, the fewer photons the probe loses, and the more columns carry neither weight nor derivative
         spec = StateSpec(StateKind.BTMSS, squeeze=SqueezeSpec(s=0.6))
         ch = ChannelConfig(T=T, T_p=0.9, eta_p=0.95)
         rho = fock.channel_density(spec, ch, n_max=28)
-        assert rho.factor.shape == (29**2, 29)
+        assert rho.factor.shape == (29**2, {0.2: 29, 0.5: 26, 0.8: 21}[T])
         got = fock.oracle_qfi(lambda t: fock.channel_density(spec, ch, n_max=28, T=t), T)
         assert got == pytest.approx(dense_oracle_qfi(rho, T), rel=1e-13, abs=0)
 
@@ -500,6 +512,42 @@ class TestOracleQFI:
         a, b = (fock.oracle_qfi(lambda t, spec=spec: fock.channel_density(spec, ch, n_max=n_max, T=t), ch.T)
                 for spec in (real, rotated))
         assert a == pytest.approx(b, rel=1e-9)
+
+
+class TestKrausCut:
+    @pytest.mark.parametrize(
+        "spec, channel, n_max",
+        [
+            (seeded_btmss(), ChannelConfig(T=0.45, T_p=0.9, eta_p=0.95, eta_a=0.8), 20),
+            (seeded_btmss(), ChannelConfig(T=0.999, eta_a=0.8), 20),
+            (StateSpec(StateKind.FOCK, fock_n=3), ChannelConfig(T=0.6, T_p=0.9), 8),
+            (coherent_spec(2.0), ChannelConfig(T=0.8), 30),
+        ],
+        ids=["btmss", "btmss-near-lossless-probe", "fock", "coherent"],
+    )
+    def test_the_dropped_columns_carry_at_most_kraus_tol(self, spec, channel, n_max):
+        # the weight and the central-difference derivative of the columns channel_density drops.  Near t_p = 1 a
+        # column of weight 4e-17 has 4 |dw/dT|^2 = 3.6e-10 (btmss-near-lossless-probe), so weight alone would drop it
+        w = uncut_density(spec, channel, n_max=n_max).factor
+        h = 1e-7  # the central difference errs by at most 2.4e-7 per column here, against the 1e-4 allowed below
+        dw = (uncut_density(spec, channel, n_max, T=channel.T + h).factor
+              - uncut_density(spec, channel, n_max, T=channel.T - h).factor) / (2 * h)
+        kept = fock.channel_density(spec, channel, n_max=n_max).factor
+        dropped, j = [], 0  # the kept columns are copies of the uncut ones, in their order
+        for i in range(w.shape[1]):
+            if j < kept.shape[1] and np.array_equal(w[:, i], kept[:, j]):
+                j += 1
+            else:
+                dropped.append(i)
+        assert j == kept.shape[1] and dropped
+        assert np.sum(np.abs(w[:, dropped]) ** 2) <= fock.KRAUS_TOL
+        assert 4.0 * np.sum(np.abs(dw[:, dropped]) ** 2) <= fock.KRAUS_TOL * (1.0 + 1e-4)
+
+    def test_keeps_every_column_at_zero_transmission(self):
+        # dw/dT is unbounded at T = 0
+        ch = ChannelConfig(T=0.0, eta_a=0.8)
+        got = fock.channel_density(seeded_btmss(), ch, n_max=20).factor
+        assert np.array_equal(got, uncut_density(seeded_btmss(), ch, n_max=20).factor)
 
 
 class TestLossGenerator:

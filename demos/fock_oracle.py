@@ -3,7 +3,7 @@
 Expands each state in a truncated number basis, applies the exact loss
 channel to its Kraus factor W (rho = W W^+), drops the columns of W that
 carry neither weight nor T-derivative, and computes the QFI on the
-support of rho, found by a thin SVD of W or an eigendecomposition of rho.
+support of rho, found by the thin SVD of W without forming rho.
 Slow and limited to a few photons, which is exactly why it makes a
 trustworthy referee.
 

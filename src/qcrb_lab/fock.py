@@ -14,11 +14,10 @@ formed.  A lossy state is its Kraus factor W, rho = W W^+ (FockDensity),
 with one column per pattern of lost photons (apply_loss_density);
 channel_density drops the columns that carry neither weight nor
 T-derivative, so W is thin even when both modes lose photons.  The QFI
-(oracle_qfi) finds the support of rho from W, by a thin SVD when W has
-fewer columns than rows and by eigh of W W^+ otherwise, and applies the
-exact T-derivative, from the amplitude-damping generator, to the
-support's eigenvectors alone.  Intended for mean photon numbers of order
-a few.
+(oracle_qfi) finds the support of rho from the thin SVD of W and applies
+the exact T-derivative, from the amplitude-damping generator, to the
+support's eigenvectors alone; no density matrix is formed there either.
+Intended for mean photon numbers of order a few.
 """
 
 from dataclasses import dataclass, replace
@@ -29,9 +28,9 @@ from .gaussian import Moments, StateKind
 
 TAIL_TOL = 1e-10
 # oracle_qfi keeps the eigenvalues above PAIR_TOL / 2: a member of every pair with p_k + p_l > PAIR_TOL, the pairs
-# that a dense SLD sum cut at PAIR_TOL keeps.  A dense eigh leaves an empty state's eigenvalue within about 1.4e-16
-# of 0 (vacuum TMSS, n_max 28); at 1e-15 the dense and support-trimmed sums part by 7.1e-13.  A cut of 1e-12 drops
-# live pairs: 4.3e-10 against fisher_max on the same state.
+# that a dense SLD sum cut at PAIR_TOL keeps.  A dense sum over eigh of the whole of rho leaves an empty state's
+# eigenvalue within about 1.4e-16 of 0 (vacuum TMSS, n_max 28); at 1e-15 it and the support-trimmed sum part by
+# 7.1e-13.  A cut of 1e-12 drops live pairs: 4.3e-10 against fisher_max on the same state.
 PAIR_TOL = 1e-14
 # channel_density drops the Kraus columns whose scores max(|w_c|^2, 4 |dw_c/dT|^2) sum to at most KRAUS_TOL: the trace
 # falls by at most this much, and so does the QFI (the bound in oracle_qfi).  At 1e-20 the oracle reads the same to
@@ -49,22 +48,13 @@ class FockDensity:
 
     W has one row per basis state (row-major pair index for 2 modes) and
     one column per pattern of lost photons: one column for a pure state,
-    n_max + 1 after each loss, fewer after channel_density's cut.  matrix
-    and tensor() form W W^+ when read.
+    n_max + 1 after each loss, fewer after channel_density's cut.  The
+    library never forms rho: every use of it goes through W.
     """
 
     factor: np.ndarray
     n_max: int
     modes: int
-
-    @property
-    def matrix(self):
-        return self.factor @ self.factor.conj().T
-
-    def tensor(self):
-        dim = self.n_max + 1
-        shape = (dim,) * (2 * self.modes)
-        return self.matrix.reshape(shape)
 
 
 def _check_tail(c):
@@ -289,15 +279,14 @@ def oracle_qfi(rho_of_T, T):
     only lowers the photon number; E_t = exp(-ln(t) L)).
 
     The support S is the eigenvalues p_k > PAIR_TOL / 2 of rho = W W^+
-    and their eigenvectors V, from a thin SVD of W when W has fewer
-    columns than rows (a pure state, or any factor channel_density cut:
-    the lossy seeded bTMSS points of qbench's validate at n_max 24 keep
-    109-201 of their 625 columns), else from eigh of W W^+, formed once;
-    W is released first, so eigh holds no second matrix of rho's size.
-    D acts on the columns of V alone:
+    and their eigenvectors V: the squared singular values and the left
+    singular vectors of the thin SVD of W, whatever its shape (a pure
+    state has one column; the lossy seeded bTMSS points of qbench's
+    validate at n_max 24 keep 109-201 of their 625).  D acts on the
+    columns of V alone:
     L(rho) V = a rho (a^+ V) - (n V diag(p) + rho n V) / 2, with rho X
-    taken as W (W^+ X) or the dense product, so no derivative matrix of
-    rho's size is formed.  With M = V^+ D V and R = (I - V V^+) D V, the
+    taken as W (W^+ X), so neither rho nor a derivative matrix of its
+    size is formed.  With M = V^+ D V and R = (I - V V^+) D V, the
     part of D V off the support,
     F = sum_{k,l in S} 2 |M_kl|^2 / (p_k + p_l) + 4 sum_{k in S} |R_k|^2 / p_k
     (Liu, Jing, Zhong and Wang, Commun. Theor. Phys. 61, 45 (2014)): every
@@ -317,8 +306,8 @@ def oracle_qfi(rho_of_T, T):
     probe photon more lost) of which one was dropped: at most
     3 n_max KRAUS_TOL / T in trace norm.  The bound is one-sided; the
     other side is measured: at the qbench validate points (seeds 1-10)
-    the cut route reads within 5.03e-13 of the uncut one, and 5.02e-13 at
-    a cut of 1e-20, so that much is rounding, SVD against eigh.
+    the cut route reads within 1.9e-15 of the uncut one, and 2.4e-15 at
+    a cut of 1e-20, so that much is rounding.
 
     Raises ValueError for T outside (0, 1], and when D has a block off the
     support, where the sum above does not hold: that block is -B B^+ with
@@ -330,18 +319,8 @@ def oracle_qfi(rho_of_T, T):
         raise ValueError(f"transmission T = {T:g} outside (0, 1]")
     rho = rho_of_T(T)
     dim, w = rho.n_max + 1, rho.factor
-    del rho
-    if w.shape[1] < w.shape[0]:
-        V, sv, _ = np.linalg.svd(w, full_matrices=False)
-        p, rho_ops = sv * sv, [w, w.conj().T]
-    else:
-        # rho before W's conjugate copy: the copy is then freed at the heap's top, and eigh's output
-        # takes W's block, which keeps the process's peak one matrix lower
-        dense = np.empty((len(w), len(w)), dtype=w.dtype)
-        np.matmul(w, w.conj().T, out=dense)
-        del w
-        p, V = np.linalg.eigh(dense)
-        rho_ops = [dense]
+    V, sv, _ = np.linalg.svd(w, full_matrices=False)
+    p = sv * sv
     support = p > 0.5 * PAIR_TOL
     p, V = p[support], V[:, support]
     a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)  # the probe's lowering and number operators
@@ -351,7 +330,7 @@ def oracle_qfi(rho_of_T, T):
         return (op @ x.reshape(dim, -1)).reshape(x.shape)
 
     k = V.shape[1]
-    rho_x = np.linalg.multi_dot(rho_ops + [np.hstack((on_probe(a.T, V), on_probe(n, V)))])
+    rho_x = w @ (w.conj().T @ np.hstack((on_probe(a.T, V), on_probe(n, V))))
     dv = (on_probe(a, rho_x[:, :k]) - 0.5 * (on_probe(n, V * p) + rho_x[:, k:])) * (-1.0 / T)
     M = V.conj().T @ dv
     off_sq = np.sum(np.abs(dv - V @ M) ** 2, axis=0)  # |R_k|^2

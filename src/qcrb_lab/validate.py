@@ -139,11 +139,11 @@ def check_fock_oracle_qfi():
     eigenvectors alone, in real arithmetic at every point here (Fock,
     real-alpha coherent and theta = 0 vacuum TMSS).  channel_density
     drops the Kraus columns with neither weight nor T-derivative, so most
-    factors are thin and a thin SVD finds their support.  The vacuum
+    factors are thin; the thin SVD of each finds its support.  The vacuum
     TMSS, 841 rows with its lossless auxiliary mode, keeps 29, 25 and 18
     of its 29 columns at T = 0.2, 0.5 and 0.8; a Fock state loses the
     columns for more photons than it holds.  Only the coherent state at
-    T = 0.2 keeps all 31 columns, a square factor, and takes eigh of rho.
+    T = 0.2 keeps all 31 columns, a square factor.
     """
     cases = [  # (spec, n_max, closed-form QFI at T)
         (StateSpec(StateKind.FOCK, fock_n=1), 3, partial(fisher_max, 1)),

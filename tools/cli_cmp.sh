@@ -14,7 +14,8 @@
 # validate, each battery check's max_err as float.hex() from run_battery(),
 # the lossy Fock QFI as float.hex() for three photon numbers, the Fock oracle's QFI
 # as float.hex() for a seeded bTMSS and a vacuum TMSS with a lossy auxiliary mode,
-# and every demos/*.py),
+# and for the battery's one square Kraus factor (coherent alpha = 2, n_max 30,
+# T = 0.2), and every demos/*.py),
 # then compares stdout, stderr and exit code of each pair.  Prints one line per
 # command and exits 1 on any difference, 0 when all are identical.  Writes only
 # under a temporary directory: each command runs there, without bytecode.
@@ -117,6 +118,8 @@ compare "fock_qfi_lossy(n, ch).qfi as float.hex()" -c \
     "from qcrb_lab import ChannelConfig; from qcrb_lab.qfi import fock_qfi_lossy; ch = ChannelConfig(T=0.35, T_p=0.9, eta_p=0.95); print(*(float(fock_qfi_lossy(n, ch).qfi).hex() for n in (1, 6, 100)))"
 compare "fock.oracle_qfi, lossy auxiliary mode, as float.hex()" -c \
     "from qcrb_lab import ChannelConfig, ComplexAmplitude, SqueezeSpec, StateKind, StateSpec, fock; ch = ChannelConfig(T=0.45, T_p=0.9, eta_p=0.95, eta_a=0.8); specs = (StateSpec(StateKind.BTMSS, alpha=ComplexAmplitude(0.8), beta=ComplexAmplitude(0.5, 1.0), squeeze=SqueezeSpec(s=0.4, theta=1.1)), StateSpec(StateKind.BTMSS, squeeze=SqueezeSpec(s=0.5))); print(*(float(fock.oracle_qfi(lambda t: fock.channel_density(s, ch, n_max=22, T=t), ch.T)).hex() for s in specs))"
+compare "fock.oracle_qfi, the battery's square factor, as float.hex()" -c \
+    "from qcrb_lab import ChannelConfig, ComplexAmplitude, StateKind, StateSpec, fock; ch = ChannelConfig(T=0.2); s = StateSpec(StateKind.COHERENT, alpha=ComplexAmplitude(2.0)); print(float(fock.oracle_qfi(lambda t: fock.channel_density(s, ch, n_max=30, T=t), ch.T)).hex())"
 for demo in "$change"/demos/*.py; do
     # each checkout runs its own copy; one missing from the parent differs on stderr
     compare "demos/$(basename "$demo")" "@DIR@/demos/$(basename "$demo")"
